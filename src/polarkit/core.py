@@ -55,8 +55,17 @@ def bit_reverse(index: int, m: int) -> int:
 
 
 def bit_reversal_permutation(m: int) -> np.ndarray:
-    """Permutation array p with p[i] = bit_reverse(i, m), length 2**m."""
-    return np.array([bit_reverse(i, m) for i in range(1 << m)], dtype=np.int64)
+    """Permutation array p with p[i] = bit_reverse(i, m), length 2**m.
+
+    Every call returns a new array, so callers may modify it.
+    """
+    if m < 1:
+        raise ValueError(f"bit width m must be >= 1, got {m}")
+    idx = np.arange(1 << m, dtype=np.int64)
+    out = np.zeros_like(idx)
+    for b in range(m):
+        out |= ((idx >> b) & 1) << (m - 1 - b)
+    return out
 
 
 def encode(u, spec: CodeSpec) -> np.ndarray:

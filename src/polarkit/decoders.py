@@ -5,6 +5,12 @@ Both decoders operate on batches of frames: every tree operation is a numpy
 op across the batch, which keeps Monte Carlo runs fast without native code.
 A decoder instance holds per-call scratch state, so one instance must not be
 shared across concurrent decodes; instances are cheap to construct.
+
+The list decoder copies path state lazily (see ``SCLDecoder``): all paths
+share the channel LLR layer, a prune copies only the layers that later steps
+read, and decided bits are recovered by backtracking parent pointers.  A
+batch of B frames holds about B*L*N floats plus B*L*K one-byte bits and
+pointers.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .core import CodeSpec, bit_reversal_permutation
 
 CRC16_POLY = 0x1021
 CRC16_LEN = 16
+_CRC16_SHIFTS = np.arange(CRC16_LEN - 1, -1, -1)
 
 
 def f_node(l_a, l_b):
@@ -111,6 +118,20 @@ class SCLDecoder:
     With ``crc_len`` > 0 the last ``crc_len`` information positions are
     treated as CRC bits; the best-metric path passing the CRC is returned,
     falling back to the overall best-metric path with ``crc_ok`` False.
+
+    Path state is copied lazily (Tal & Vardy, "List decoding of polar
+    codes", IEEE T-IT 2015).  The channel LLRs (layer 0) are stored once per
+    frame and shared by every path.  When the list is pruned at an
+    information leaf, only the state that later steps will read follows the
+    surviving paths: the LLR layer of each ancestor whose right half is
+    still to come, and the left partial sums of each ancestor whose right
+    half is being decoded.  Decided bits are not copied at all: each
+    information leaf records every surviving path's bit and parent path, and
+    the information bits of the final list are read by walking those parent
+    pointers back.  Per batch of B frames this keeps about B*L*N floats of
+    LLRs and B*L*K one-byte bits and pointers.  The stable sort of the 2L
+    candidates fixes the order of tied metrics, which punctured codes (LLRs
+    exactly 0) produce often.
     """
 
     def __init__(self, spec: CodeSpec, info_set, list_size: int = 8,
@@ -131,24 +152,25 @@ class SCLDecoder:
     def decode(self, llrs: np.ndarray):
         """Decode a (B, N) batch; returns (u_hat (B, N), crc_ok (B,) or None)."""
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-        n = self.spec.n_mother
+        n, m = self.spec.n_mother, self.spec.m
         if llrs.shape[1] != n:
             raise ValueError(f"LLR length {llrs.shape[1]} != N={n}")
         batch, lsz = llrs.shape[0], self.list_size
 
-        self._llr = [np.empty((batch, lsz, n >> d)) for d in range(self.spec.m + 1)]
-        self._cleft = [np.empty((batch, lsz, (n >> d) // 2), dtype=np.int8)
-                       for d in range(self.spec.m)]
-        self._u = np.zeros((batch, lsz, n), dtype=np.int8)
+        # _llr[d] and _cleft[d] are the LLR input and the left half's partial
+        # sums of the node being decoded at depth d, for every path.
+        self._llr = [np.broadcast_to(llrs[:, None, self._perm], (batch, lsz, n))]
+        self._llr += [None] * m
+        self._cleft = [None] * m
         self._pm = np.full((batch, lsz), np.inf)
         self._pm[:, 0] = 0.0
-        self._llr[0][:] = llrs[:, None, self._perm]
+        self._row_base = np.arange(batch)[:, None] * lsz
+        self._trail = []
 
         self._recurse(0, 0)
 
-        u, pm = self._u, self._pm
+        info, pm = self._backtrack(), self._pm
         if self.crc_len:
-            info = u[:, :, self.info_idx]
             payload = info[:, :, :-self.crc_len]
             want = info[:, :, -self.crc_len:]
             got = crc16_remainder_bits(payload)
@@ -160,31 +182,34 @@ class SCLDecoder:
         else:
             chosen = np.argmin(pm, axis=1)
             crc_ok = None
-        rows = np.arange(batch)
-        return u[rows, chosen], crc_ok
+        u_hat = np.zeros((batch, n), dtype=np.int8)
+        u_hat[:, self.info_idx] = info[np.arange(batch), chosen]
+        return u_hat, crc_ok
 
     def _recurse(self, depth: int, base: int) -> np.ndarray:
         width = self.spec.n_mother >> depth
         if width == 1:
-            self._leaf(base)
-            return self._u[:, :, base:base + 1]
+            return self._leaf(base)[:, :, None]
         half = width // 2
         arr = self._llr[depth]
-        self._llr[depth + 1][:] = f_node(arr[..., :half], arr[..., half:])
-        c_left = self._recurse(depth + 1, base)
-        self._cleft[depth][:] = c_left
-        arr = self._llr[depth]  # may have been permuted in place by a prune
-        self._llr[depth + 1][:] = g_node(arr[..., :half], arr[..., half:],
-                                         self._cleft[depth])
+        self._llr[depth + 1] = f_node(arr[..., :half], arr[..., half:])
+        self._cleft[depth] = self._recurse(depth + 1, base)
+        # Free each child's LLRs once its subtree is done: dropping them
+        # before the next large allocation keeps the heap from growing.
+        self._llr[depth + 1] = None
+        arr = self._llr[depth]  # may have been replaced by a prune
+        self._llr[depth + 1] = g_node(arr[..., :half], arr[..., half:],
+                                      self._cleft[depth])
         c_right = self._recurse(depth + 1, base + half)
+        self._llr[depth + 1] = None
         return np.concatenate([self._cleft[depth] ^ c_right, c_right], axis=2)
 
-    def _leaf(self, base: int) -> None:
+    def _leaf(self, base: int) -> np.ndarray:
+        """Extend every path by input bit ``base``; returns the (B, L) bits."""
         llr = self._llr[self.spec.m][:, :, 0]
         if not self.info_mask[base]:
             self._pm = self._pm + np.where(llr < 0, -llr, 0.0)
-            self._u[:, :, base] = 0
-            return
+            return np.zeros(llr.shape, dtype=np.int8)
         lsz = self.list_size
         pen0 = np.where(llr < 0, -llr, 0.0)
         pen1 = np.where(llr > 0, llr, 0.0)
@@ -193,16 +218,46 @@ class SCLDecoder:
         src = sel % lsz
         bits = (sel >= lsz).astype(np.int8)
         self._pm = np.take_along_axis(cand, sel, axis=1)
-        self._permute_paths(src)
-        self._u[:, :, base] = bits
+        self._prune(base, src)
+        self._trail.append((bits, src.astype(np.min_scalar_type(lsz - 1))))
+        return bits
 
-    def _permute_paths(self, src: np.ndarray) -> None:
-        idx = src[:, :, None]
-        for arr in self._llr:
-            arr[:] = np.take_along_axis(arr, idx, axis=1)
-        for arr in self._cleft:
-            arr[:] = np.take_along_axis(arr, idx, axis=1)
-        self._u[:] = np.take_along_axis(self._u, idx, axis=1)
+    def _prune(self, base: int, src: np.ndarray) -> None:
+        """Make path j continue path src[:, j] in the state still to be read.
+
+        Bit d (from the most significant end) of the leaf index tells which
+        half of its depth-d ancestor the leaf lies in.  In the left half the
+        ancestor's LLRs are read again by g; in the right half its left
+        partial sums are read again by the concatenation.  Layer 0 is shared
+        and the leaf layer is not read again.
+        """
+        m = self.spec.m
+        rows = (self._row_base + src).ravel()
+        for d in range(m):
+            if (base >> (m - 1 - d)) & 1:
+                self._cleft[d] = _take_paths(self._cleft[d], rows)
+            elif d:
+                self._llr[d] = _take_paths(self._llr[d], rows)
+
+    def _backtrack(self) -> np.ndarray:
+        """The (B, L, K) information bits of the final list, from the trail.
+
+        The bit axis is outermost in memory, so the CRC's per-bit slices are
+        contiguous.
+        """
+        batch, lsz = self._pm.shape
+        info = np.empty((len(self._trail), batch, lsz), dtype=np.int8)
+        path = np.broadcast_to(np.arange(lsz), (batch, lsz))
+        for k in range(len(self._trail) - 1, -1, -1):
+            bits, src = self._trail[k]
+            info[k] = np.take_along_axis(bits, path, axis=1)
+            path = np.take_along_axis(src, path, axis=1)
+        return info.transpose(1, 2, 0)
+
+
+def _take_paths(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a (B, L, W) array viewed as (B*L, W), as (B, L, W)."""
+    return np.take(arr.reshape(-1, arr.shape[2]), rows, axis=0).reshape(arr.shape)
 
 
 def sc_decode(llr, frozen, spec: CodeSpec) -> DecodeResult:
@@ -245,11 +300,8 @@ def crc16_ccitt(payload_bits) -> int:
     The payload is a bit sequence (MSB-first polynomial coefficients).  The
     appended-CRC convention holds: crc16_ccitt(payload + crc_bits) == 0.
     """
-    reg = 0
-    for bit in np.asarray(payload_bits, dtype=np.int64).ravel():
-        msb = ((reg >> 15) & 1) ^ int(bit)
-        reg = ((reg << 1) & 0xFFFF) ^ (CRC16_POLY if msb else 0)
-    return reg
+    bits = crc16_remainder_bits(np.ravel(payload_bits))
+    return int((bits.astype(np.int64) << _CRC16_SHIFTS).sum())
 
 
 def crc16_remainder_bits(payload_bits: np.ndarray) -> np.ndarray:
@@ -262,8 +314,7 @@ def crc16_remainder_bits(payload_bits: np.ndarray) -> np.ndarray:
     for j in range(bits.shape[-1]):
         msb = ((reg >> 15) & 1) ^ bits[..., j]
         reg = ((reg << 1) & 0xFFFF) ^ (msb * CRC16_POLY)
-    shifts = np.arange(15, -1, -1)
-    return ((reg[..., None] >> shifts) & 1).astype(np.int8)
+    return ((reg[..., None] >> _CRC16_SHIFTS) & 1).astype(np.int8)
 
 
 def crc16_append(payload_bits) -> np.ndarray:

@@ -92,3 +92,15 @@ def test_bit_reversal_permutation_is_involution():
     for m in (1, 2, 3, 5):
         perm = bit_reversal_permutation(m)
         assert np.array_equal(perm[perm], np.arange(1 << m))
+
+
+def test_bit_reversal_permutation_matches_scalar_reference():
+    for m in range(1, 13):
+        perm = bit_reversal_permutation(m)
+        assert perm.dtype == np.int64
+        assert perm.tolist() == [bit_reverse(i, m) for i in range(1 << m)]
+    first = bit_reversal_permutation(4)
+    first[:] = 0
+    assert bit_reversal_permutation(4).tolist() == [bit_reverse(i, 4) for i in range(16)]
+    with pytest.raises(ValueError):
+        bit_reversal_permutation(0)
