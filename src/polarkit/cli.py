@@ -49,6 +49,13 @@ class CurvePoint:
     bit_errors: int
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polarkit",
                      description="Punctured polar code design and evaluation")
@@ -103,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--decoder", choices=["sc", "scl"], default="sc")
         p.add_argument("--list-size", type=int, default=8)
         p.add_argument("--crc", type=int, default=0, choices=[0, 16])
-        p.add_argument("--trials", type=int, default=100000,
+        p.add_argument("--trials", type=_positive_int, default=100000,
                        help="block budget per SNR point")
-        p.add_argument("--max-block-errors", type=int, default=200,
+        p.add_argument("--max-block-errors", type=_positive_int, default=200,
                        help="stop an SNR point early after this many block errors")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1)

@@ -31,13 +31,25 @@ def f_node(l_a, l_b):
 
     Computed in the numerically safe Jacobian form
     sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
-    which is exact in reals and never overflows.
+    which is exact in reals and never overflows.  The ufuncs run in place in
+    two scratch arrays besides the output, in the order the formula reads.
     """
     l_a = np.asarray(l_a, dtype=np.float64)
     l_b = np.asarray(l_b, dtype=np.float64)
-    base = np.sign(l_a) * np.sign(l_b) * np.minimum(np.abs(l_a), np.abs(l_b))
-    corr = np.log1p(np.exp(-np.abs(l_a + l_b))) - np.log1p(np.exp(-np.abs(l_a - l_b)))
-    out = base + corr
+    shape = np.broadcast_shapes(l_a.shape, l_b.shape)
+    out, t, s = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.sign(l_a, out=out)
+    np.multiply(out, np.sign(l_b, out=t), out=out)
+    np.minimum(np.abs(l_a, out=t), np.abs(l_b, out=s), out=t)
+    np.multiply(out, t, out=out)
+    for tmp, combine in ((t, np.add), (s, np.subtract)):
+        combine(l_a, l_b, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.log1p(tmp, out=tmp)
+    np.subtract(t, s, out=t)
+    np.add(out, t, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -72,6 +84,18 @@ def _info_mask(spec: CodeSpec, info_set) -> np.ndarray:
 class SCDecoder:
     """Batch successive-cancellation decoder.
 
+    Rate-0 subtrees, whose input positions are all frozen, decode to zeros
+    whatever their LLRs are, so the decoder never descends into them
+    (Alamdar-Yazdi & Kschischang, "A simplified successive-cancellation
+    decoder for polar codes", IEEE Comm. Letters 2011): it skips ``f`` for a
+    rate-0 left child and ``g`` for a rate-0 right child, and after a rate-0
+    left child ``g`` reduces to a + b.  The output is bit-identical to the
+    full tree walk.  Punctured codes freeze long runs of inputs, so they gain
+    most.  Rate-1 subtrees (all information) are walked in full: a hard
+    decision on their LLRs differs from SC when LLRs are exactly 0, as at
+    punctured positions (a width-2 node with LLRs (0, b) decodes to
+    (0, h(b)) under SC but to (h(b), h(b)) by hard decision and re-encoding).
+
     Parameters
     ----------
     spec : CodeSpec
@@ -82,32 +106,45 @@ class SCDecoder:
     def __init__(self, spec: CodeSpec, info_set):
         self.spec = spec
         self.info_mask = _info_mask(spec, info_set)
+        # _info_count[i] is the number of information positions below i.
+        self._info_count = np.concatenate([[0], np.cumsum(self.info_mask)])
         self._perm = bit_reversal_permutation(spec.m)
         self._u = None
+
+    def _rate0(self, base: int, width: int) -> bool:
+        return self._info_count[base + width] == self._info_count[base]
 
     def decode(self, llrs: np.ndarray) -> np.ndarray:
         """Decode a (B, N) batch of channel LLR vectors to (B, N) input bits."""
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-        if llrs.shape[1] != self.spec.n_mother:
-            raise ValueError(f"LLR length {llrs.shape[1]} != N={self.spec.n_mother}")
-        self._u = np.zeros(llrs.shape, dtype=np.int8)
-        self._recurse(llrs[:, self._perm], 0)
-        return self._u
+        n = self.spec.n_mother
+        if llrs.shape[1] != n:
+            raise ValueError(f"LLR length {llrs.shape[1]} != N={n}")
+        # The tree runs on (width, B) arrays, so each half of a node is one
+        # contiguous block and every kernel call is a single long pass.
+        self._u = np.zeros((n, llrs.shape[0]), dtype=np.int8)
+        if not self._rate0(0, n):
+            self._recurse(llrs.T[self._perm], 0)
+        return np.ascontiguousarray(self._u.T)
 
     def _recurse(self, llr: np.ndarray, base: int) -> np.ndarray:
-        width = llr.shape[1]
+        """Decode a subtree that holds at least one information position."""
+        width = llr.shape[0]
         if width == 1:
-            if self.info_mask[base]:
-                bits = (llr[:, 0] < 0).astype(np.int8)
-            else:
-                bits = np.zeros(llr.shape[0], dtype=np.int8)
-            self._u[:, base] = bits
-            return bits[:, None]
+            bits = (llr[0] < 0).astype(np.int8)
+            self._u[base] = bits
+            return bits[None]
         half = width // 2
-        a, b = llr[:, :half], llr[:, half:]
+        a, b = llr[:half], llr[half:]
+        if self._rate0(base, half):
+            # Left partial sums are 0, so g(a, b, 0) = 1.0 * a + b = a + b.
+            c_right = self._recurse(a + b, base + half)
+            return np.concatenate([c_right, c_right])
         c_left = self._recurse(f_node(a, b), base)
+        if self._rate0(base + half, half):
+            return np.concatenate([c_left, np.zeros_like(c_left)])
         c_right = self._recurse(g_node(a, b, c_left), base + half)
-        return np.concatenate([c_left ^ c_right, c_right], axis=1)
+        return np.concatenate([c_left ^ c_right, c_right])
 
 
 class SCLDecoder:
@@ -307,14 +344,34 @@ def crc16_ccitt(payload_bits) -> int:
 def crc16_remainder_bits(payload_bits: np.ndarray) -> np.ndarray:
     """Vectorized CRC-16 over the last axis; returns 16 bits, MSB first.
 
-    ``payload_bits`` may have any leading batch shape.
+    ``payload_bits`` may have any leading batch shape.  The bits are packed
+    into bytes and the register advances a byte at a time through a 256-entry
+    table.  Zeros are padded at the front to fill the first byte, which leaves
+    a zero initial register unchanged.
     """
-    bits = np.asarray(payload_bits, dtype=np.int64)
-    reg = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for j in range(bits.shape[-1]):
-        msb = ((reg >> 15) & 1) ^ bits[..., j]
-        reg = ((reg << 1) & 0xFFFF) ^ (msb * CRC16_POLY)
+    bits = np.asarray(payload_bits)
+    k = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
+    padded[..., padded.shape[-1] - k:] = bits
+    packed = np.moveaxis(np.packbits(padded, axis=-1), -1, 0).copy()
+    reg = np.zeros(bits.shape[:-1], dtype=np.uint16)
+    for byte in packed:
+        reg = (reg << 8) ^ _CRC16_TABLE[(reg >> 8) ^ byte]
     return ((reg[..., None] >> _CRC16_SHIFTS) & 1).astype(np.int8)
+
+
+def _crc16_table() -> np.ndarray:
+    """Register update for each byte shifted into a zero register."""
+    table = np.zeros(256, dtype=np.uint16)
+    for byte in range(256):
+        reg = byte << 8
+        for _ in range(8):
+            reg = ((reg << 1) ^ CRC16_POLY if reg & 0x8000 else reg << 1) & 0xFFFF
+        table[byte] = reg
+    return table
+
+
+_CRC16_TABLE = _crc16_table()
 
 
 def crc16_append(payload_bits) -> np.ndarray:

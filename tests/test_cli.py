@@ -141,6 +141,23 @@ def test_evaluate_sc_with_crc_is_usage_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize("flag", ["--trials", "--max-block-errors"])
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_evaluate_and_compare_reject_non_positive_counts(tmp_path, capsys,
+                                                        command, flag, value):
+    pat = tmp_path / "p.json"
+    main(["pattern", "--method", "qup", "--n", "8", "--k", "4", "--np", "2",
+          "--ebn0", "3", "--out", str(pat)])
+    inputs = (["--pattern", str(pat)] if command == "evaluate"
+              else ["--patterns", str(pat), str(pat)])
+    out = tmp_path / "x.csv"
+    rc = main([command] + inputs + ["--ebn0", "1", flag, value, "--out", str(out)])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_missing_pattern_file(tmp_path):
     rc = main(["evaluate", "--pattern", str(tmp_path / "absent.json"),
                "--ebn0", "1", "--out", str(tmp_path / "x.csv")])

@@ -133,6 +133,44 @@ def test_scl_list1_equals_sc():
     assert np.array_equal(sc, scl)
 
 
+@st.composite
+def _sc_cases(draw):
+    """A code with an edge-case information set and LLRs holding exact +-0."""
+    m = draw(st.integers(1, 8))
+    n = 1 << m
+    kind = draw(st.sampled_from(["random", "frozen_prefix", "k1", "k_n"]))
+    if kind == "random":
+        info = draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
+    elif kind == "frozen_prefix":
+        info = range(draw(st.integers(1, n)), n + 1)
+    elif kind == "k1":
+        info = {draw(st.integers(1, n))}
+    else:
+        info = range(1, n + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.integers(1, 12))
+    llr = rng.normal(draw(st.sampled_from([0.0, 1.0, 4.0])), 2.0, size=(batch, n))
+    llr[rng.random((batch, n)) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    llr[rng.random((batch, n)) < 0.1] = -0.0
+    punctured = rng.choice(n, size=draw(st.integers(0, n - 1)), replace=False)
+    llr[:, punctured] = 0.0
+    return CodeSpec(n, len(info)), tuple(sorted(info)), llr
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sc_cases())
+def test_sc_equals_scl_list1_on_edge_case_information_sets(case):
+    # SCL walks every subtree, frozen or not, so it is an independent
+    # reference for SC's skipping of all-frozen subtrees.
+    spec, info, llr = case
+    sc = SCDecoder(spec, info).decode(llr)
+    scl, _ = SCLDecoder(spec, info, list_size=1).decode(llr)
+    assert sc.dtype == np.int8 and sc.shape == llr.shape
+    assert np.array_equal(sc, scl)
+    frozen = np.setdiff1d(np.arange(spec.n_mother), np.asarray(info) - 1)
+    assert not sc[:, frozen].any()
+
+
 def test_scl_noiseless_crc_ok():
     spec = CodeSpec(16, 8)
     info = (9, 10, 11, 12, 13, 14, 15, 16)
