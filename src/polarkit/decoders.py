@@ -32,7 +32,9 @@ def f_node(l_a, l_b):
     Computed in the numerically safe Jacobian form
     sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
     which is exact in reals and never overflows.  The ufuncs run in place in
-    two scratch arrays besides the output, in the order the formula reads.
+    two scratch arrays besides the output, one by one in the order the
+    formula reads, so every value is bit-identical to the formula evaluated
+    with temporaries.
     """
     l_a = np.asarray(l_a, dtype=np.float64)
     l_b = np.asarray(l_b, dtype=np.float64)
@@ -331,6 +333,21 @@ def _complement(frozen, spec: CodeSpec) -> tuple[int, ...]:
 # CRC-16 (poly 0x1021, zero initial register, no reflection).
 # ---------------------------------------------------------------------------
 
+def _crc16_table() -> np.ndarray:
+    """Entry v is v(x) * x^16 mod the generator: what a register whose top
+    byte is v contributes after one more byte has been shifted in."""
+    table = np.zeros(256, dtype=np.uint16)
+    for byte in range(256):
+        reg = byte << 8
+        for _ in range(8):
+            reg = ((reg << 1) ^ CRC16_POLY if reg & 0x8000 else reg << 1) & 0xFFFF
+        table[byte] = reg
+    return table
+
+
+_CRC16_TABLE = _crc16_table()
+
+
 def crc16_ccitt(payload_bits) -> int:
     """Remainder of payload(x) * x^16 modulo the generator, as a 16-bit int.
 
@@ -353,25 +370,12 @@ def crc16_remainder_bits(payload_bits: np.ndarray) -> np.ndarray:
     k = bits.shape[-1]
     padded = np.zeros(bits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
     padded[..., padded.shape[-1] - k:] = bits
+    # Byte axis first and contiguous, so each step reads one block.
     packed = np.moveaxis(np.packbits(padded, axis=-1), -1, 0).copy()
     reg = np.zeros(bits.shape[:-1], dtype=np.uint16)
     for byte in packed:
         reg = (reg << 8) ^ _CRC16_TABLE[(reg >> 8) ^ byte]
     return ((reg[..., None] >> _CRC16_SHIFTS) & 1).astype(np.int8)
-
-
-def _crc16_table() -> np.ndarray:
-    """Register update for each byte shifted into a zero register."""
-    table = np.zeros(256, dtype=np.uint16)
-    for byte in range(256):
-        reg = byte << 8
-        for _ in range(8):
-            reg = ((reg << 1) ^ CRC16_POLY if reg & 0x8000 else reg << 1) & 0xFFFF
-        table[byte] = reg
-    return table
-
-
-_CRC16_TABLE = _crc16_table()
 
 
 def crc16_append(payload_bits) -> np.ndarray:
