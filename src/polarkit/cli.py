@@ -56,6 +56,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polarkit",
                      description="Punctured polar code design and evaluation")
@@ -74,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--max-iters", type=int, default=50)
     p_opt.add_argument("--trials", type=int, default=20000,
                        help="Monte Carlo trials per objective evaluation")
-    p_opt.add_argument("--confirm-trials", type=int, default=1000000,
+    p_opt.add_argument("--confirm-trials", type=_non_negative_int, default=1000000,
                        help="trials for the final confirmation pass (0 disables)")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--full-space", action="store_true",
@@ -83,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply replacements row by row within a generation")
     p_opt.add_argument("--fresh-incumbents", action="store_true",
                        help="re-evaluate incumbents under each generation's seed")
-    p_opt.add_argument("--workers", type=int, default=1)
+    p_opt.add_argument("--workers", type=_positive_int, default=1,
+                       help="processes evaluating Monte Carlo chunks; one pool "
+                            "serves the whole search")
     p_opt.add_argument("--out", required=True, help="pattern file to write")
     p_opt.add_argument("--log", default=None,
                        help="run log path (default: <out>.log)")
@@ -115,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-block-errors", type=_positive_int, default=200,
                        help="stop an SNR point early after this many block errors")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--out", required=True, help="CSV file to write")
 
     return parser

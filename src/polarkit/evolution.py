@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CodeSpec
-from .montecarlo import ChannelModel, DecoderConfig, objective, simulate
+from .montecarlo import (ChannelModel, DecoderConfig, SimulationRun,
+                         matched_information_set, run_batch, worker_pool)
 from .puncturing import PuncturingPattern, reduced_dimension, vector_to_pattern
 
 
@@ -37,6 +38,14 @@ class DeConfig:
     pattern in the whole run under the generation-0 seed, which freezes the
     noisy objective into a deterministic function of the pattern (useful for
     comparisons against an exhaustive search at matched seed and trials).
+
+    ``workers`` > 1 opens one pool of that many processes for the whole
+    search, confirmation run included.  Each batch of evaluations (a whole
+    generation, or one row with ``in_place``) sends the Monte Carlo chunks of
+    all its candidates to the pool together; the information sets are
+    selected in this process.  Results do not depend on ``workers``.
+    ``confirm_trials`` is the trial count of a final re-evaluation of the
+    winner under a separate seed, or None to skip it.
     """
 
     pop_size: int
@@ -66,6 +75,11 @@ class DeConfig:
             raise ValueError("max_iters and trials must be >= 1")
         if self.seed_policy not in ("per-generation", "fixed"):
             raise ValueError("seed_policy must be 'per-generation' or 'fixed'")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.confirm_trials is not None and self.confirm_trials < 1:
+            raise ValueError(f"confirm_trials must be None or >= 1, "
+                             f"got {self.confirm_trials}")
 
 
 @dataclass
@@ -119,24 +133,38 @@ class _Evaluator:
     """Objective evaluation with caching keyed by (pattern, seed).
 
     Distinct genotypes projecting onto the same pattern share one Monte Carlo
-    run per evaluation seed.
+    run per evaluation seed.  ``evaluate`` scores a batch of patterns: this
+    process selects the information set of every uncached one, then the Monte
+    Carlo chunks of all of them run as one batch on ``pool`` (in-process when
+    ``pool`` is None).
     """
 
-    def __init__(self, spec: CodeSpec, config: DeConfig):
+    def __init__(self, spec: CodeSpec, config: DeConfig, pool):
         self.spec = spec
         self.config = config
         self.model = ChannelModel.awgn(config.ebn0_db)
+        self.pool = pool
         self.cache: dict = {}
         self.evaluations = 0
 
-    def __call__(self, pattern: PuncturingPattern, seed: int):
-        key = (pattern.indices, seed)
-        if key not in self.cache:
-            self.cache[key] = objective(
-                self.spec, pattern, self.model, decoder=DecoderConfig("sc"),
-                trials=self.config.trials, seed=seed, workers=self.config.workers)
-            self.evaluations += 1
-        return self.cache[key]
+    def evaluate(self, patterns: list[PuncturingPattern],
+                 seed: int) -> list[tuple[tuple[int, ...], float]]:
+        """(information set, objective) of each pattern under ``seed``."""
+        keys = [(pattern.indices, seed) for pattern in patterns]
+        todo: dict = {}
+        for key, pattern in zip(keys, patterns):
+            if key not in self.cache:
+                todo.setdefault(key, pattern)
+        infos = [matched_information_set(self.spec, pattern, self.model)
+                 for pattern in todo.values()]
+        runs = [SimulationRun.plan(self.spec, pattern, info, self.model,
+                                   decoder=DecoderConfig("sc"),
+                                   trials=self.config.trials, seed=seed)
+                for pattern, info in zip(todo.values(), infos)]
+        for key, info, report in zip(todo, infos, run_batch(runs, self.pool)):
+            self.cache[key] = (info, report.objective)
+        self.evaluations += len(todo)
+        return [self.cache[key] for key in keys]
 
 
 def evaluation_seed(master_seed: int, generation: int) -> int:
@@ -155,24 +183,23 @@ def init_population(spec: CodeSpec, n_p: int, config: DeConfig,
                     rng: np.random.Generator | None = None,
                     evaluator: _Evaluator | None = None) -> Population:
     """Population of pop_size x D genes i.i.d. uniform on [0, 1], with the
-    objective of every row already evaluated (generation-0 seed)."""
+    objective of every row already evaluated (generation-0 seed).  Without an
+    ``evaluator`` it evaluates on a pool of its own when ``config.workers`` > 1."""
     dim = search_dimension(spec, config)
     if n_p > dim:
         raise ValueError(f"n_p={n_p} exceeds search dimension D={dim}")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
-    evaluator = evaluator or _Evaluator(spec, config)
+    if evaluator is None:
+        with worker_pool(config.workers) as pool:
+            return init_population(spec, n_p, config, rng,
+                                   _Evaluator(spec, config, pool))
     genes = rng.random((config.pop_size, dim))
-    seed0 = _generation_seed(config, 0)
-    patterns, infos, values = [], [], []
-    for row in genes:
-        pattern = vector_to_pattern(row, n_p, spec, reduced=config.reduced_space)
-        info, value = evaluator(pattern, seed0)
-        patterns.append(pattern)
-        infos.append(info)
-        values.append(value)
-    return Population(genes=genes, objectives=np.array(values),
-                      patterns=patterns, info_sets=infos)
+    patterns = [vector_to_pattern(row, n_p, spec, reduced=config.reduced_space)
+                for row in genes]
+    scored = evaluator.evaluate(patterns, _generation_seed(config, 0))
+    return Population(genes=genes, objectives=np.array([v for _, v in scored]),
+                      patterns=patterns, info_sets=[info for info, _ in scored])
 
 
 def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
@@ -184,12 +211,40 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     history (one entry for the initial population plus one per generation).
     With default settings the history is non-increasing and the whole run is
     reproducible from ``config.master_seed`` alone, independent of
-    ``config.workers``.
+    ``config.workers``.  With ``config.workers`` > 1 one pool serves the whole
+    search and the confirmation run.
     """
     rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
-    evaluator = _Evaluator(spec, config)
-    pop = init_population(spec, n_p, config, rng=rng, evaluator=evaluator)
+    with worker_pool(config.workers) as pool:
+        evaluator = _Evaluator(spec, config, pool)
+        pop = init_population(spec, n_p, config, rng=rng, evaluator=evaluator)
+        history, generation = _evolve(spec, n_p, config, pop, evaluator, rng,
+                                      log_path)
+        best_idx = int(np.argmin(pop.objectives))
+        result = DeResult(
+            pattern=pop.patterns[best_idx],
+            info_set=pop.info_sets[best_idx],
+            history=history,
+            generations=generation,
+            evaluations=evaluator.evaluations,
+            best_objective=float(pop.objectives[best_idx]),
+            config=config,
+        )
+        if config.confirm_trials is not None:
+            confirm_seed = int(np.random.SeedSequence(
+                (config.master_seed, 2)).generate_state(1, np.uint64)[0])
+            run = SimulationRun.plan(spec, result.pattern, result.info_set,
+                                     evaluator.model, decoder=DecoderConfig("sc"),
+                                     trials=config.confirm_trials, seed=confirm_seed)
+            result.confirmed_objective = run_batch([run], pool)[0].objective
+    return result
 
+
+def _evolve(spec: CodeSpec, n_p: int, config: DeConfig, pop: Population,
+            evaluator: _Evaluator, rng: np.random.Generator,
+            log_path) -> tuple[list[float], int]:
+    """Run the generations on ``pop``; return the best-objective history and
+    the number of generations run."""
     log_file = open(log_path, "w") if log_path else None
 
     def log_record(generation: int, best_idx: int) -> None:
@@ -211,25 +266,15 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
         generation = 0
         for generation in range(1, config.max_iters + 1):
             seed = _generation_seed(config, generation)
-            staged: list[tuple[int, np.ndarray, PuncturingPattern, tuple, float]] = []
-            for i in range(config.pop_size):
-                trial = make_trial(pop.genes, i, config, rng)
-                t_pattern = vector_to_pattern(trial, n_p, spec,
-                                              reduced=config.reduced_space)
-                t_info, t_value = evaluator(t_pattern, seed)
-                if config.fresh_incumbents:
-                    inc_info, inc_value = evaluator(pop.patterns[i], seed)
-                    pop.info_sets[i] = inc_info
-                    pop.objectives[i] = inc_value
-                else:
-                    inc_value = pop.objectives[i]
-                if t_value < inc_value:
-                    if config.in_place:
-                        _replace(pop, i, trial, t_pattern, t_info, t_value)
-                    else:
-                        staged.append((i, trial, t_pattern, t_info, t_value))
-            for i, trial, t_pattern, t_info, t_value in staged:
-                _replace(pop, i, trial, t_pattern, t_info, t_value)
+            if config.in_place:
+                # each replacement is visible to the next row's trial vector
+                for i in range(config.pop_size):
+                    _select(pop, [i], [make_trial(pop.genes, i, config, rng)],
+                            n_p, spec, config, evaluator, seed)
+            else:
+                rows = list(range(config.pop_size))
+                trials = [make_trial(pop.genes, i, config, rng) for i in rows]
+                _select(pop, rows, trials, n_p, spec, config, evaluator, seed)
 
             best_idx = int(np.argmin(pop.objectives))
             best = float(pop.objectives[best_idx])
@@ -244,27 +289,28 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     finally:
         if log_file is not None:
             log_file.close()
+    return history, generation
 
-    best_idx = int(np.argmin(pop.objectives))
-    result = DeResult(
-        pattern=pop.patterns[best_idx],
-        info_set=pop.info_sets[best_idx],
-        history=history,
-        generations=generation,
-        evaluations=evaluator.evaluations,
-        best_objective=float(pop.objectives[best_idx]),
-        config=config,
-    )
-    if config.confirm_trials:
-        confirm_seed = int(np.random.SeedSequence(
-            (config.master_seed, 2)).generate_state(1, np.uint64)[0])
-        report = simulate(spec, result.pattern, result.info_set,
-                          ChannelModel.awgn(config.ebn0_db),
-                          decoder=DecoderConfig("sc"),
-                          trials=config.confirm_trials, seed=confirm_seed,
-                          workers=config.workers)
-        result.confirmed_objective = report.objective
-    return result
+
+def _select(pop: Population, rows: list[int], trials: list[np.ndarray], n_p: int,
+            spec: CodeSpec, config: DeConfig, evaluator: _Evaluator,
+            seed: int) -> None:
+    """Greedy selection of each row against its trial vector.
+
+    The trial patterns (and, with ``fresh_incumbents``, the incumbents) are
+    evaluated as one batch.  Rows are compared independently, so replacing a
+    row here equals staging every replacement to the end of the generation.
+    """
+    t_patterns = [vector_to_pattern(trial, n_p, spec, reduced=config.reduced_space)
+                  for trial in trials]
+    incumbents = [pop.patterns[i] for i in rows] if config.fresh_incumbents else []
+    scored = evaluator.evaluate(t_patterns + incumbents, seed)
+    for i, (info, value) in zip(rows, scored[len(rows):]):
+        pop.info_sets[i] = info
+        pop.objectives[i] = value
+    for i, trial, pattern, (info, value) in zip(rows, trials, t_patterns, scored):
+        if value < pop.objectives[i]:
+            _replace(pop, i, trial, pattern, info, value)
 
 
 def _replace(pop: Population, i: int, genes_row: np.ndarray,

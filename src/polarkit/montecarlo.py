@@ -7,6 +7,7 @@ results are bit-identical regardless of how many workers execute the chunks.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass, field
@@ -138,6 +139,115 @@ def _simulate_chunk(args) -> tuple[np.ndarray, int]:
     return diff.sum(axis=0, dtype=np.int64), int(diff.any(axis=1).sum())
 
 
+@dataclass(frozen=True, eq=False)
+class SimulationRun:
+    """One validated Monte Carlo run: the chunk jobs it splits into and the
+    tally of their results into a ``BerReport``.
+
+    ``simulate`` runs one of these; a differential-evolution generation runs
+    many through ``run_batch`` on one pool.  Build it with ``plan``.
+    """
+
+    spec: CodeSpec
+    pattern: PuncturingPattern
+    info_idx: np.ndarray
+    model: ChannelModel
+    decoder: DecoderConfig
+    effective_rate: float
+    payload: str
+    trials: int
+    seed: int
+    chunk_size: int
+
+    @classmethod
+    def plan(cls, spec: CodeSpec, pattern: PuncturingPattern, info_set,
+             model: ChannelModel, decoder: DecoderConfig = DecoderConfig(),
+             trials: int = 10000, seed: int = 0,
+             effective_rate: float | None = None, payload: str = "random",
+             chunk_size: int = DEFAULT_CHUNK) -> "SimulationRun":
+        """Validate ``simulate``'s arguments (``workers`` aside)."""
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        if payload not in ("random", "zero"):
+            raise ValueError(f"payload must be 'random' or 'zero', got {payload!r}")
+        if pattern.n_mother != spec.n_mother:
+            raise ValueError(f"pattern is for N={pattern.n_mother}, "
+                             f"code has N={spec.n_mother}")
+        info_idx = np.asarray(sorted(set(int(i) for i in info_set)), dtype=np.int64) - 1
+        if info_idx.size != len(tuple(info_set)):
+            raise ValueError("information set contains duplicate positions")
+        if info_idx.size == 0 or info_idx[0] < 0 or info_idx[-1] >= spec.n_mother:
+            raise ValueError("information set must be non-empty within [1, N]")
+        if decoder.crc_len >= info_idx.size and decoder.crc_len:
+            raise ValueError("information set too small to carry the CRC")
+        if effective_rate is None:
+            effective_rate = spec.k_info / pattern.n_transmitted
+        return cls(spec, pattern, info_idx, model, decoder, effective_rate,
+                   payload, trials, seed, chunk_size)
+
+    def jobs(self) -> list[tuple]:
+        """Arguments of ``_simulate_chunk`` for each chunk, in chunk order."""
+        sizes = [self.chunk_size] * (self.trials // self.chunk_size)
+        if self.trials % self.chunk_size:
+            sizes.append(self.trials % self.chunk_size)
+        return [(self.spec, self.pattern, self.info_idx, self.model, self.decoder,
+                 self.effective_rate, self.payload, self.seed, ci, sz)
+                for ci, sz in enumerate(sizes)]
+
+    def tally(self, results) -> BerReport:
+        """Sum the chunk results of ``jobs()`` into the run's report."""
+        per_info_errors = np.zeros(self.info_idx.size, dtype=np.int64)
+        block_errors = 0
+        for errs, blocks in results:
+            per_info_errors += errs
+            block_errors += blocks
+
+        per_bit_errors = np.zeros(self.spec.n_mother, dtype=np.int64)
+        per_bit_errors[self.info_idx] = per_info_errors
+        per_bit_ber = per_bit_errors / self.trials
+        return BerReport(
+            per_bit_ber=per_bit_ber,
+            per_bit_errors=per_bit_errors,
+            bler=block_errors / self.trials,
+            block_errors=block_errors,
+            objective=float(per_bit_ber[self.info_idx].sum()),
+            trials=self.trials,
+            seed=self.seed,
+            info_set=tuple(int(i) + 1 for i in self.info_idx),
+        )
+
+
+def worker_pool(workers: int):
+    """Context manager giving a ``multiprocessing`` pool of ``workers``
+    processes, or ``None`` when ``workers`` is 1 (chunks then run in-process)."""
+    if workers > 1:
+        return multiprocessing.Pool(processes=workers)
+    return contextlib.nullcontext()
+
+
+def run_batch(runs: list[SimulationRun], pool=None) -> list[BerReport]:
+    """Reports of ``runs``, in order.
+
+    The chunks of all runs go to ``pool`` in one map, one chunk per task, so
+    the workers stay busy across run boundaries; with no pool they run
+    in-process.  Each chunk draws from its own (seed, chunk index) generator,
+    so the reports do not depend on the pool.
+    """
+    jobs = [run.jobs() for run in runs]
+    flat = [job for run_jobs in jobs for job in run_jobs]
+    if pool is None:
+        results = [_simulate_chunk(job) for job in flat]
+    else:
+        results = pool.map(_simulate_chunk, flat, chunksize=1)
+    reports, start = [], 0
+    for run, run_jobs in zip(runs, jobs):
+        reports.append(run.tally(results[start:start + len(run_jobs)]))
+        start += len(run_jobs)
+    return reports
+
+
 def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: ChannelModel,
              decoder: DecoderConfig = DecoderConfig(), trials: int = 10000,
              seed: int = 0, effective_rate: float | None = None,
@@ -149,55 +259,34 @@ def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: Channe
     codeword through the channel with punctured LLRs zeroed, decodes, and
     tallies per-information-bit and block errors.  Given identical arguments
     the report is bit-for-bit reproducible, independent of ``workers``.
+
+    Trials run in chunks of ``chunk_size``.  With ``workers`` > 1 and more
+    than one chunk, the call opens its own pool of that many processes and
+    closes it before returning; otherwise the chunks run in this process.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if payload not in ("random", "zero"):
-        raise ValueError(f"payload must be 'random' or 'zero', got {payload!r}")
-    if pattern.n_mother != spec.n_mother:
-        raise ValueError(f"pattern is for N={pattern.n_mother}, "
-                         f"code has N={spec.n_mother}")
-    info_idx = np.asarray(sorted(set(int(i) for i in info_set)), dtype=np.int64) - 1
-    if info_idx.size != len(tuple(info_set)):
-        raise ValueError("information set contains duplicate positions")
-    if info_idx.size == 0 or info_idx[0] < 0 or info_idx[-1] >= spec.n_mother:
-        raise ValueError("information set must be non-empty within [1, N]")
-    if decoder.crc_len >= info_idx.size and decoder.crc_len:
-        raise ValueError("information set too small to carry the CRC")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    run = SimulationRun.plan(spec, pattern, info_set, model, decoder=decoder,
+                             trials=trials, seed=seed,
+                             effective_rate=effective_rate, payload=payload,
+                             chunk_size=chunk_size)
+    with worker_pool(workers if trials > chunk_size else 1) as pool:
+        return run_batch([run], pool)[0]
+
+
+def matched_information_set(spec: CodeSpec, pattern: PuncturingPattern,
+                            model: ChannelModel,
+                            effective_rate: float | None = None) -> tuple[int, ...]:
+    """The K most reliable positions for ``pattern`` on ``model``: Gaussian
+    approximation at the model's Eb/N0 (at the punctured code's rate unless
+    ``effective_rate`` is given), or exact Bhattacharyya parameters on a BEC."""
     if effective_rate is None:
         effective_rate = spec.k_info / pattern.n_transmitted
-
-    sizes = [chunk_size] * (trials // chunk_size)
-    if trials % chunk_size:
-        sizes.append(trials % chunk_size)
-    jobs = [(spec, pattern, info_idx, model, decoder, effective_rate, payload,
-             seed, ci, sz) for ci, sz in enumerate(sizes)]
-
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(_simulate_chunk, jobs)
+    if model.kind == "bec":
+        reliability = bec_bhattacharyya(spec, model.epsilon, pattern)
     else:
-        results = [_simulate_chunk(job) for job in jobs]
-
-    per_info_errors = np.zeros(info_idx.size, dtype=np.int64)
-    block_errors = 0
-    for errs, blocks in results:
-        per_info_errors += errs
-        block_errors += blocks
-
-    per_bit_errors = np.zeros(spec.n_mother, dtype=np.int64)
-    per_bit_errors[info_idx] = per_info_errors
-    per_bit_ber = per_bit_errors / trials
-    return BerReport(
-        per_bit_ber=per_bit_ber,
-        per_bit_errors=per_bit_errors,
-        bler=block_errors / trials,
-        block_errors=block_errors,
-        objective=float(per_bit_ber[info_idx].sum()),
-        trials=trials,
-        seed=seed,
-        info_set=tuple(int(i) + 1 for i in info_idx),
-    )
+        reliability = ga_llr_means(spec, model.ebn0_db, pattern, effective_rate)
+    return select_information_set(reliability, spec.k_info)
 
 
 def objective(spec: CodeSpec, pattern: PuncturingPattern, model: ChannelModel,
@@ -207,17 +296,10 @@ def objective(spec: CodeSpec, pattern: PuncturingPattern, model: ChannelModel,
     """Re-select the information set for ``pattern`` and evaluate the summed
     information-bit BER.
 
-    The information set comes from the Gaussian approximation at the model's
-    Eb/N0 (or from exact Bhattacharyya parameters for a BEC model); the value
-    is the Monte Carlo estimate of the objective for that pair.
+    The information set is ``matched_information_set``'s; the value is the
+    Monte Carlo estimate of the objective for that pair.
     """
-    if effective_rate is None:
-        effective_rate = spec.k_info / pattern.n_transmitted
-    if model.kind == "bec":
-        reliability = bec_bhattacharyya(spec, model.epsilon, pattern)
-    else:
-        reliability = ga_llr_means(spec, model.ebn0_db, pattern, effective_rate)
-    info = select_information_set(reliability, spec.k_info)
+    info = matched_information_set(spec, pattern, model, effective_rate)
     report = simulate(spec, pattern, info, model, decoder=decoder, trials=trials,
                       seed=seed, effective_rate=effective_rate, workers=workers)
     return info, report.objective

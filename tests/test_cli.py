@@ -70,6 +70,19 @@ def test_optimize_writes_pattern_and_log(tmp_path):
     assert set(record) == {"generation", "best_objective", "best_pattern"}
 
 
+@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
+                                        ("--confirm-trials", "-5")])
+def test_optimize_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value):
+    out = tmp_path / "opt.json"
+    rc = main(["optimize", "--n", "8", "--k", "4", "--np", "2", "--ebn0", "3",
+               "--pop-size", "4", "--max-iters", "2", "--trials", "500",
+               flag, value, "--out", str(out)])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "opt.json.log").exists()
+
+
 def test_optimize_missing_required_flag():
     assert main(["optimize", "--n", "8", "--k", "4", "--np", "2"]) == 1
 
@@ -142,7 +155,7 @@ def test_evaluate_sc_with_crc_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
-@pytest.mark.parametrize("flag", ["--trials", "--max-block-errors"])
+@pytest.mark.parametrize("flag", ["--trials", "--max-block-errors", "--workers"])
 @pytest.mark.parametrize("value", ["0", "-3", "many"])
 def test_evaluate_and_compare_reject_non_positive_counts(tmp_path, capsys,
                                                         command, flag, value):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ def test_config_validation():
         DeConfig(pop_size=8, scale=0.0)
     with pytest.raises(ValueError):
         DeConfig(pop_size=8, seed_policy="fancy")
+
+
+@pytest.mark.parametrize("bad", [dict(workers=0), dict(workers=-3),
+                                 dict(confirm_trials=0), dict(confirm_trials=-5)])
+def test_config_rejects_non_positive_workers_and_confirm_trials(bad):
+    with pytest.raises(ValueError):
+        DeConfig(pop_size=8, **bad)
+    assert DeConfig(pop_size=8, workers=1, confirm_trials=None).confirm_trials is None
+    assert DeConfig(pop_size=8, workers=2, confirm_trials=1).workers == 2
 
 
 def test_init_population_shape_and_range():
@@ -108,6 +118,36 @@ def test_worker_count_does_not_change_result():
     assert seq.pattern == par.pattern
     assert seq.history == par.history
     assert seq.info_set == par.info_set
+
+
+@pytest.fixture
+def pools_made(monkeypatch):
+    """Process counts of every ``multiprocessing.Pool`` constructed."""
+    made = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(processes=None, *args, **kwargs):
+        made.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    return made
+
+
+@pytest.mark.parametrize("trials,confirm_trials", [(5000, 3000), (20000, 10000)])
+def test_search_uses_one_pool_and_matches_serial(pools_made, trials, confirm_trials):
+    # 5000 trials fit in one 8192-trial chunk, so only a pool shared across
+    # candidates can run them in parallel; 20000 and 10000 span chunks
+    config = dict(max_iters=3, stall_generations=4, trials=trials,
+                  confirm_trials=confirm_trials)
+    par = de_optimize(SPEC8, 2, small_config(workers=2, **config))
+    assert par.generations == 3
+    assert pools_made == [2]
+    seq = de_optimize(SPEC8, 2, small_config(workers=1, **config))
+    assert pools_made == [2]
+    for field in ("pattern", "info_set", "history", "generations", "evaluations",
+                  "best_objective", "confirmed_objective"):
+        assert getattr(par, field) == getattr(seq, field)
 
 
 def test_reduced_space_avoids_forbidden_bits():

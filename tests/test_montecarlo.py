@@ -85,6 +85,14 @@ def test_simulate_deterministic_and_worker_independent():
         assert a.objective == other.objective
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_simulate_rejects_non_positive_workers(workers):
+    spec = CodeSpec(16, 8)
+    with pytest.raises(ValueError, match="workers"):
+        simulate(spec, qup_pattern(spec, 4), (8, 10, 11, 12, 13, 14, 15, 16),
+                 ChannelModel.awgn(2.0), trials=100, workers=workers)
+
+
 def test_simulate_report_invariants():
     spec = CodeSpec(16, 8)
     pattern = qup_pattern(spec, 4)
