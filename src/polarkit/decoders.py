@@ -170,7 +170,9 @@ class SCLDecoder:
     pointers back.  Per batch of B frames this keeps about B*L*N floats of
     LLRs and B*L*K one-byte bits and pointers.  The stable sort of the 2L
     candidates fixes the order of tied metrics, which punctured codes (LLRs
-    exactly 0) produce often.
+    exactly 0) produce often.  A decision penalty too small to change its
+    path metric in floating point still raises it by one ulp, so with
+    ``list_size`` 1 the decoder makes exactly the hard decisions of SC.
     """
 
     def __init__(self, spec: CodeSpec, info_set, list_size: int = 8,
@@ -252,7 +254,8 @@ class SCLDecoder:
         lsz = self.list_size
         pen0 = np.where(llr < 0, -llr, 0.0)
         pen1 = np.where(llr > 0, llr, 0.0)
-        cand = np.concatenate([self._pm + pen0, self._pm + pen1], axis=1)
+        cand = np.concatenate([_charge(self._pm, pen0), _charge(self._pm, pen1)],
+                              axis=1)
         sel = np.argsort(cand, axis=1, kind="stable")[:, :lsz]
         src = sel % lsz
         bits = (sel >= lsz).astype(np.int8)
@@ -292,6 +295,20 @@ class SCLDecoder:
             info[k] = np.take_along_axis(bits, path, axis=1)
             path = np.take_along_axis(src, path, axis=1)
         return info.transpose(1, 2, 0)
+
+
+def _charge(pm: np.ndarray, pen: np.ndarray) -> np.ndarray:
+    """pm + pen, raised by one ulp where a positive penalty was rounded away.
+
+    A path metric far above a tiny |LLR| would otherwise tie the two
+    decisions, and the stable sort would then take bit 0 against the LLR's
+    sign; this way a path never prefers the decision its LLR contradicts.
+    """
+    out = pm + pen
+    lost = (pen > 0) & (out == pm)
+    if lost.any():
+        out[lost] = np.nextafter(pm[lost], np.inf)
+    return out
 
 
 def _take_paths(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
