@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarkit import (ChannelModel, CodeSpec, PuncturingPattern, SCDecoder,
-                      SCLDecoder, channel_llrs, crc16_append, crc16_ccitt,
-                      crc16_check, encode, f_node, g_node, ga_llr_means,
-                      sc_decode, scl_decode, select_information_set)
-from polarkit.decoders import crc16_remainder_bits
+                      SCLDecoder, bit_reversal_permutation, channel_llrs,
+                      crc16_append, crc16_ccitt, crc16_check, encode, f_node,
+                      g_node, ga_llr_means, sc_decode, scl_decode,
+                      select_information_set)
+from polarkit.decoders import _charge, crc16_remainder_bits
 
 finite_llr = st.floats(min_value=-60, max_value=60, allow_nan=False)
 
@@ -134,15 +135,18 @@ def test_scl_list1_equals_sc():
 
 
 @st.composite
-def _sc_cases(draw):
-    """A code with an edge-case information set and LLRs holding exact +-0."""
-    m = draw(st.integers(1, 8))
+def _sc_cases(draw, max_m=8, min_k=1):
+    """A code with an edge-case information set of at least ``min_k``
+    positions, and LLRs holding exact +-0."""
+    m = draw(st.integers(max(1, (min_k - 1).bit_length()), max_m))
     n = 1 << m
-    kind = draw(st.sampled_from(["random", "frozen_prefix", "k1", "k_n"]))
+    kinds = ["random", "frozen_prefix", "k1", "k_n"] if min_k == 1 \
+        else ["random", "frozen_prefix", "k_n"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
-        info = draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
+        info = draw(st.sets(st.integers(1, n), min_size=min_k, max_size=n))
     elif kind == "frozen_prefix":
-        info = range(draw(st.integers(1, n)), n + 1)
+        info = range(draw(st.integers(1, n - min_k + 1)), n + 1)
     elif kind == "k1":
         info = {draw(st.integers(1, n))}
     else:
@@ -169,6 +173,91 @@ def test_sc_equals_scl_list1_on_edge_case_information_sets(case):
     assert np.array_equal(sc, scl)
     frozen = np.setdiff1d(np.arange(spec.n_mother), np.asarray(info) - 1)
     assert not sc[:, frozen].any()
+
+
+def _reference_scl(llrs, info, list_size, crc_len):
+    """Plain list decoder: every path keeps its decided bits in full, and
+    each leaf LLR is recomputed from the channel LLRs down the tree."""
+    batch, n = llrs.shape
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(info) - 1] = True
+    tree = np.broadcast_to(llrs[:, None, bit_reversal_permutation(n.bit_length() - 1)],
+                           (batch, list_size, n))
+    u = np.zeros((batch, list_size, 0), dtype=np.int8)
+    pm = np.full((batch, list_size), np.inf)
+    pm[:, 0] = 0.0
+    for i in range(n):
+        llr = _reference_leaf_llr(tree, u, i)
+        if not mask[i]:
+            pm = pm + np.where(llr < 0, -llr, 0.0)
+            u = np.concatenate([u, np.zeros((batch, list_size, 1), np.int8)], axis=2)
+            continue
+        pen0 = np.where(llr < 0, -llr, 0.0)
+        pen1 = np.where(llr > 0, llr, 0.0)
+        cand = np.concatenate([_charge(pm, pen0), _charge(pm, pen1)], axis=1)
+        sel = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
+        pm = np.take_along_axis(cand, sel, axis=1)
+        u = np.take_along_axis(u, (sel % list_size)[:, :, None], axis=1)
+        bits = (sel >= list_size).astype(np.int8)
+        u = np.concatenate([u, bits[:, :, None]], axis=2)
+    chosen = np.argmin(pm, axis=1)
+    crc_ok = None
+    if crc_len:
+        word = u[:, :, mask]
+        ok = np.all(crc16_remainder_bits(word[:, :, :-crc_len])
+                    == word[:, :, -crc_len:], axis=2)
+        crc_ok = ok.any(axis=1)
+        for row in np.flatnonzero(crc_ok):
+            chosen[row] = min(np.flatnonzero(ok[row]), key=lambda j: pm[row, j])
+    return u[np.arange(batch), chosen], crc_ok
+
+
+def _reference_leaf_llr(llr, u, i):
+    """LLR of leaf i given the decided bits ``u`` (..., i) of each path."""
+    while llr.shape[-1] > 1:
+        half = llr.shape[-1] // 2
+        a, b = llr[..., :half], llr[..., half:]
+        if i < half:
+            llr = f_node(a, b)
+        else:
+            llr = g_node(a, b, _reference_partial_sums(u[..., :half]))
+            u, i = u[..., half:], i - half
+    return llr[..., 0]
+
+
+def _reference_partial_sums(u):
+    """u F^(kron m) over GF(2) along the last axis: the bits a subtree
+    returns to its parent, in the tree's order."""
+    x = u.copy()
+    step = 1
+    while step < x.shape[-1]:
+        view = x.reshape(x.shape[:-1] + (-1, 2, step))
+        view[..., 0, :] ^= view[..., 1, :]
+        step *= 2
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scl_matches_plain_list_decoder(data):
+    crc_len = data.draw(st.sampled_from([0, 16]))
+    spec, info, llr = data.draw(_sc_cases(max_m=6, min_k=crc_len + 1))
+    list_size = data.draw(st.sampled_from([2, 3, 4, 8]))
+    # Sign the LLRs by a random codeword, so that CRC-16 words pass too.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = np.zeros(llr.shape, dtype=np.int8)
+    payload = rng.integers(0, 2, size=(llr.shape[0], len(info) - crc_len),
+                           dtype=np.int8)
+    u[:, np.asarray(info) - 1] = np.concatenate(
+        [payload, crc16_remainder_bits(payload)[:, :crc_len]], axis=1)
+    llr = llr * (1.0 - 2.0 * encode(u, spec))
+    u_hat, crc_ok = SCLDecoder(spec, info, list_size, crc_len).decode(llr)
+    want_u, want_ok = _reference_scl(llr, info, list_size, crc_len)
+    assert np.array_equal(u_hat, want_u)
+    if crc_len:
+        assert np.array_equal(crc_ok, want_ok)
+    else:
+        assert crc_ok is None and want_ok is None
 
 
 def test_scl_noiseless_crc_ok():
