@@ -7,9 +7,8 @@ from .construction import (ReliabilityVector, bec_bhattacharyya,
                            select_information_set)
 from .core import (CodeSpec, bit_reversal_permutation, bit_reverse, encode,
                    generator_matrix)
-from .decoders import (DecodeResult, SCDecoder, SCLDecoder, crc16_append,
-                       crc16_ccitt, crc16_check, f_node, g_node, sc_decode,
-                       scl_decode)
+from .decoders import (SCDecoder, SCLDecoder, crc16_append, crc16_ccitt,
+                       crc16_check, f_node, g_node)
 from .evolution import (DeConfig, DeResult, Population, de_optimize,
                         evaluation_seed, init_population, make_trial)
 from .montecarlo import (BerReport, ChannelModel, DecoderConfig, channel_llrs,
@@ -24,15 +23,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerReport", "ChannelModel", "CodeSpec", "DeConfig", "DeResult",
-    "DecodeResult", "DecoderConfig", "PatternFileError", "Population",
-    "PuncturingPattern", "ReliabilityVector", "SCDecoder", "SCLDecoder",
-    "bec_bhattacharyya", "bit_reversal_permutation", "bit_reverse",
-    "branch_role_counts", "channel_llrs", "crc16_append", "crc16_ccitt",
-    "crc16_check", "de_optimize", "encode", "evaluation_seed", "f_node",
-    "forbidden_set", "frozen_complement", "g_node", "ga_llr_means",
-    "generator_matrix",
+    "DecoderConfig", "PatternFileError", "Population", "PuncturingPattern",
+    "ReliabilityVector", "SCDecoder", "SCLDecoder", "bec_bhattacharyya",
+    "bit_reversal_permutation", "bit_reverse", "branch_role_counts",
+    "channel_llrs", "crc16_append", "crc16_ccitt", "crc16_check",
+    "de_optimize", "encode", "evaluation_seed", "f_node", "forbidden_set",
+    "frozen_complement", "g_node", "ga_llr_means", "generator_matrix",
     "init_population", "load_pattern", "make_trial", "noise_variance",
-    "objective", "qup_pattern", "reduced_dimension", "reference_pattern_path",
-    "rqup_pattern", "save_pattern", "sc_decode", "scl_decode",
+    "objective", "qup_pattern", "reduced_dimension",
+    "reference_pattern_path", "rqup_pattern", "save_pattern",
     "select_information_set", "simulate", "vector_to_pattern",
 ]

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo trials per objective evaluation")
     p_opt.add_argument("--confirm-trials", type=_non_negative_int, default=1000000,
                        help="trials for the final confirmation pass (0 disables)")
-    p_opt.add_argument("--seed", type=int, default=0)
+    p_opt.add_argument("--seed", type=_non_negative_int, default=0)
     p_opt.add_argument("--full-space", action="store_true",
                        help="search over all N coded bits instead of the reduced space")
     p_opt.add_argument("--in-place", action="store_true",
@@ -117,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ebn0", required=True,
                        help="comma-separated Eb/N0 sweep in dB, e.g. '6,7,8'")
         p.add_argument("--decoder", choices=["sc", "scl"], default="sc")
-        p.add_argument("--list-size", type=int, default=8)
+        p.add_argument("--list-size", type=_positive_int, default=8)
         p.add_argument("--crc", type=int, default=0, choices=[0, 16])
         p.add_argument("--trials", type=_positive_int, default=100000,
                        help="block budget per SNR point")
         p.add_argument("--max-block-errors", type=_positive_int, default=200,
                        help="stop an SNR point early after this many block errors")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--out", required=True, help="CSV file to write")
 

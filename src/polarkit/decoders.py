@@ -6,16 +6,13 @@ op across the batch, which keeps Monte Carlo runs fast without native code.
 A decoder instance holds per-call scratch state, so one instance must not be
 shared across concurrent decodes; instances are cheap to construct.
 
-The list decoder copies path state lazily (see ``SCLDecoder``): all paths
-share the channel LLR layer, a prune copies only the layers that later steps
-read, and decided bits are recovered by backtracking parent pointers.  A
-batch of B frames holds about B*L*N floats plus B*L*K one-byte bits and
-pointers.
+The list decoder copies path state lazily (see ``SCLDecoder``): arrays that
+every path shares are held once, a subtree that prunes the list returns a map
+from its surviving paths to the paths that entered it, and decided bits are
+recovered by backtracking parent pointers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +59,6 @@ def g_node(l_a, l_b, v_hat):
     sign = 1.0 - 2.0 * np.asarray(v_hat, dtype=np.float64)
     out = sign * l_a + l_b
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass
-class DecodeResult:
-    """Decoder output: full input estimate, the information bits, and the CRC
-    verdict (list decoding only)."""
-
-    u_hat: np.ndarray
-    info_bits: np.ndarray
-    crc_ok: bool | None = None
 
 
 def _info_mask(spec: CodeSpec, info_set) -> np.ndarray:
@@ -159,20 +146,23 @@ class SCLDecoder:
     falling back to the overall best-metric path with ``crc_ok`` False.
 
     Path state is copied lazily (Tal & Vardy, "List decoding of polar
-    codes", IEEE T-IT 2015).  The channel LLRs (layer 0) are stored once per
-    frame and shared by every path.  When the list is pruned at an
-    information leaf, only the state that later steps will read follows the
-    surviving paths: the LLR layer of each ancestor whose right half is
-    still to come, and the left partial sums of each ancestor whose right
-    half is being decoded.  Decided bits are not copied at all: each
-    information leaf records every surviving path's bit and parent path, and
-    the information bits of the final list are read by walking those parent
-    pointers back.  Per batch of B frames this keeps about B*L*N floats of
-    LLRs and B*L*K one-byte bits and pointers.  The stable sort of the 2L
-    candidates fixes the order of tied metrics, which punctured codes (LLRs
-    exactly 0) produce often.  A decision penalty too small to change its
-    path metric in floating point still raises it by one ulp, so with
-    ``list_size`` 1 the decoder makes exactly the hard decisions of SC.
+    codes", IEEE T-IT 2015) along the recursion of ``SCDecoder``: LLRs go
+    down the tree and partial sums come back up.  Tree arrays are
+    (width, B, L'), where the list axis has length L' = 1 while every path
+    still shares the array, so the channel LLRs and all the work before the
+    first information leaf are held and computed once per frame.  A subtree
+    that prunes the list also returns a (B, L) path map: for each path
+    leaving it, the entering path it continues.  The parent gathers the
+    arrays it still holds once per child subtree (its LLRs before ``g``,
+    the left partial sums before combining) and composes the maps of its
+    two children.  Decided bits are not copied at all: each information
+    leaf records every surviving path's bit and parent path, and the
+    information bits of the final list are read by walking those parent
+    pointers back.  The stable sort of the 2L candidates fixes the order of
+    tied metrics, which punctured codes (LLRs exactly 0) produce often.  A
+    decision penalty too small to change its path metric in floating point
+    still raises it by one ulp, so with ``list_size`` 1 the decoder makes
+    exactly the hard decisions of SC.
     """
 
     def __init__(self, spec: CodeSpec, info_set, list_size: int = 8,
@@ -193,22 +183,15 @@ class SCLDecoder:
     def decode(self, llrs: np.ndarray):
         """Decode a (B, N) batch; returns (u_hat (B, N), crc_ok (B,) or None)."""
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-        n, m = self.spec.n_mother, self.spec.m
+        n = self.spec.n_mother
         if llrs.shape[1] != n:
             raise ValueError(f"LLR length {llrs.shape[1]} != N={n}")
-        batch, lsz = llrs.shape[0], self.list_size
-
-        # _llr[d] and _cleft[d] are the LLR input and the left half's partial
-        # sums of the node being decoded at depth d, for every path.
-        self._llr = [np.broadcast_to(llrs[:, None, self._perm], (batch, lsz, n))]
-        self._llr += [None] * m
-        self._cleft = [None] * m
-        self._pm = np.full((batch, lsz), np.inf)
+        batch = llrs.shape[0]
+        self._pm = np.full((batch, self.list_size), np.inf)
         self._pm[:, 0] = 0.0
-        self._row_base = np.arange(batch)[:, None] * lsz
         self._trail = []
 
-        self._recurse(0, 0)
+        self._recurse(llrs.T[self._perm][:, :, None], 0)
 
         info, pm = self._backtrack(), self._pm
         if self.crc_len:
@@ -227,30 +210,39 @@ class SCLDecoder:
         u_hat[:, self.info_idx] = info[np.arange(batch), chosen]
         return u_hat, crc_ok
 
-    def _recurse(self, depth: int, base: int) -> np.ndarray:
-        width = self.spec.n_mother >> depth
-        if width == 1:
-            return self._leaf(base)[:, :, None]
-        half = width // 2
-        arr = self._llr[depth]
-        self._llr[depth + 1] = f_node(arr[..., :half], arr[..., half:])
-        self._cleft[depth] = self._recurse(depth + 1, base)
-        # Free each child's LLRs once its subtree is done: dropping them
-        # before the next large allocation keeps the heap from growing.
-        self._llr[depth + 1] = None
-        arr = self._llr[depth]  # may have been replaced by a prune
-        self._llr[depth + 1] = g_node(arr[..., :half], arr[..., half:],
-                                      self._cleft[depth])
-        c_right = self._recurse(depth + 1, base + half)
-        self._llr[depth + 1] = None
-        return np.concatenate([self._cleft[depth] ^ c_right, c_right], axis=2)
+    def _recurse(self, llr: np.ndarray, base: int):
+        """Decode the subtree at ``base`` from its (width, B, L') LLRs.
 
-    def _leaf(self, base: int) -> np.ndarray:
-        """Extend every path by input bit ``base``; returns the (B, L) bits."""
-        llr = self._llr[self.spec.m][:, :, 0]
+        Returns the subtree's partial sums and its path map: None if the
+        subtree made no prune, else the (B, L) index of the entering path
+        that each leaving path continues.
+        """
+        width = llr.shape[0]
+        if width == 1:
+            return self._leaf(llr[0], base)
+        half = width // 2
+        c_left, left = self._recurse(f_node(llr[:half], llr[half:]), base)
+        llr = _follow(llr, left)
+        c_right, right = self._recurse(g_node(llr[:half], llr[half:], c_left),
+                                       base + half)
+        paths = left
+        if right is not None:
+            c_left = _follow(c_left, right)
+            if left is not None:
+                paths = left[np.arange(len(left))[:, None], right]
+            else:
+                paths = right
+        return np.concatenate([c_left ^ c_right, c_right]), paths
+
+    def _leaf(self, llr: np.ndarray, base: int):
+        """Extend every path by input bit ``base`` given its (B, L') LLRs.
+
+        Returns the bit as (1, B, L') partial sums (L' = L after a prune)
+        and the path map, as ``_recurse`` does.
+        """
         if not self.info_mask[base]:
             self._pm = self._pm + np.where(llr < 0, -llr, 0.0)
-            return np.zeros(llr.shape, dtype=np.int8)
+            return np.zeros((1,) + llr.shape, dtype=np.int8), None
         lsz = self.list_size
         pen0 = np.where(llr < 0, -llr, 0.0)
         pen1 = np.where(llr > 0, llr, 0.0)
@@ -260,26 +252,8 @@ class SCLDecoder:
         src = sel % lsz
         bits = (sel >= lsz).astype(np.int8)
         self._pm = np.take_along_axis(cand, sel, axis=1)
-        self._prune(base, src)
         self._trail.append((bits, src.astype(np.min_scalar_type(lsz - 1))))
-        return bits
-
-    def _prune(self, base: int, src: np.ndarray) -> None:
-        """Make path j continue path src[:, j] in the state still to be read.
-
-        Bit d (from the most significant end) of the leaf index tells which
-        half of its depth-d ancestor the leaf lies in.  In the left half the
-        ancestor's LLRs are read again by g; in the right half its left
-        partial sums are read again by the concatenation.  Layer 0 is shared
-        and the leaf layer is not read again.
-        """
-        m = self.spec.m
-        rows = (self._row_base + src).ravel()
-        for d in range(m):
-            if (base >> (m - 1 - d)) & 1:
-                self._cleft[d] = _take_paths(self._cleft[d], rows)
-            elif d:
-                self._llr[d] = _take_paths(self._llr[d], rows)
+        return bits[None], src
 
     def _backtrack(self) -> np.ndarray:
         """The (B, L, K) information bits of the final list, from the trail.
@@ -311,39 +285,15 @@ def _charge(pm: np.ndarray, pen: np.ndarray) -> np.ndarray:
     return out
 
 
-def _take_paths(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of a (B, L, W) array viewed as (B*L, W), as (B, L, W)."""
-    return np.take(arr.reshape(-1, arr.shape[2]), rows, axis=0).reshape(arr.shape)
+def _follow(arr: np.ndarray, paths) -> np.ndarray:
+    """The (W, B, L') array ``arr`` as seen by the paths leaving a prune.
 
-
-def sc_decode(llr, frozen, spec: CodeSpec) -> DecodeResult:
-    """Successive-cancellation decode of one LLR vector.
-
-    ``frozen`` holds the 1-based frozen input positions (complement of the
-    information set).  Punctured channel positions must already carry LLR 0.
+    ``paths`` is a path map (or None for no prune).  An array with one
+    column (L' = 1) predates the first prune and serves every path as it is.
     """
-    info = _complement(frozen, spec)
-    u_hat = SCDecoder(spec, info).decode(np.asarray(llr, dtype=np.float64))[0]
-    info_idx = np.asarray(info, dtype=np.int64) - 1
-    return DecodeResult(u_hat=u_hat, info_bits=u_hat[info_idx], crc_ok=None)
-
-
-def scl_decode(llr, frozen, spec: CodeSpec, list_size: int = 8,
-               crc_len: int = 0) -> DecodeResult:
-    """CRC-aided list decode of one LLR vector (see SCLDecoder)."""
-    info = _complement(frozen, spec)
-    dec = SCLDecoder(spec, info, list_size=list_size, crc_len=crc_len)
-    u_hat, crc_ok = dec.decode(np.asarray(llr, dtype=np.float64))
-    info_idx = np.asarray(info, dtype=np.int64) - 1
-    return DecodeResult(u_hat=u_hat[0], info_bits=u_hat[0, info_idx],
-                        crc_ok=None if crc_ok is None else bool(crc_ok[0]))
-
-
-def _complement(frozen, spec: CodeSpec) -> tuple[int, ...]:
-    frozen = set(int(i) for i in frozen)
-    if frozen and not all(1 <= i <= spec.n_mother for i in frozen):
-        raise ValueError("frozen positions outside [1, N]")
-    return tuple(i for i in range(1, spec.n_mother + 1) if i not in frozen)
+    if paths is None or arr.shape[2] == 1:
+        return arr
+    return arr[:, np.arange(arr.shape[1])[:, None], paths]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .construction import (bec_bhattacharyya, ga_llr_means, noise_variance,
                            select_information_set)
 from .core import CodeSpec, encode
-from .decoders import SCDecoder, SCLDecoder, crc16_remainder_bits
+from .decoders import CRC16_LEN, SCDecoder, SCLDecoder, crc16_remainder_bits
 from .puncturing import PuncturingPattern
 
 HARD_LLR = 1e4
@@ -65,6 +65,10 @@ class DecoderConfig:
             raise ValueError(f"decoder kind must be 'sc' or 'scl', got {self.kind!r}")
         if self.kind == "sc" and (self.list_size != 1 or self.crc_len != 0):
             raise ValueError("plain SC takes list_size=1 and crc_len=0")
+        if self.list_size < 1:
+            raise ValueError(f"list_size must be >= 1, got {self.list_size}")
+        if self.crc_len not in (0, CRC16_LEN):
+            raise ValueError(f"crc_len must be 0 or {CRC16_LEN}, got {self.crc_len}")
 
 
 @dataclass(eq=False)

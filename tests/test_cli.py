@@ -71,7 +71,7 @@ def test_optimize_writes_pattern_and_log(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
-                                        ("--confirm-trials", "-5")])
+                                        ("--confirm-trials", "-5"), ("--seed", "-1")])
 def test_optimize_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value):
     out = tmp_path / "opt.json"
     rc = main(["optimize", "--n", "8", "--k", "4", "--np", "2", "--ebn0", "3",
@@ -154,9 +154,14 @@ def test_evaluate_sc_with_crc_is_usage_error(tmp_path):
     assert rc == 1
 
 
+_BAD_COUNTS = [(flag, value)
+               for flag in ("--trials", "--max-block-errors", "--workers", "--list-size")
+               for value in ("0", "-3", "many")] + [("--seed", "-1")]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
-@pytest.mark.parametrize("flag", ["--trials", "--max-block-errors", "--workers"])
-@pytest.mark.parametrize("value", ["0", "-3", "many"])
+@pytest.mark.parametrize("flag,value", _BAD_COUNTS,
+                         ids=[f"{value}-{flag}" for flag, value in _BAD_COUNTS])
 def test_evaluate_and_compare_reject_non_positive_counts(tmp_path, capsys,
                                                         command, flag, value):
     pat = tmp_path / "p.json"

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from polarkit import (ChannelModel, CodeSpec, PuncturingPattern, SCDecoder,
                       SCLDecoder, bit_reversal_permutation, channel_llrs,
                       crc16_append, crc16_ccitt, crc16_check, encode, f_node,
-                      g_node, ga_llr_means, sc_decode, scl_decode,
-                      select_information_set)
+                      g_node, ga_llr_means, select_information_set)
 from polarkit.decoders import _charge, crc16_remainder_bits
 
 finite_llr = st.floats(min_value=-60, max_value=60, allow_nan=False)
@@ -55,11 +54,12 @@ def test_g_node_examples():
 
 def test_sc_noiseless_all_zero():
     spec = CodeSpec(8, 4)
-    llr = np.full(8, 50.0)
-    res = sc_decode(llr, frozen=(1, 2, 3, 5), spec=spec)
-    assert np.array_equal(res.u_hat, np.zeros(8, dtype=np.int8))
-    assert res.info_bits.tolist() == [0, 0, 0, 0]
-    assert res.crc_ok is None
+    llr = np.full((1, 8), 50.0)
+    u_hat = SCDecoder(spec, (4, 6, 7, 8)).decode(llr)
+    # SC gives no CRC verdict: decode returns the bits alone.
+    assert isinstance(u_hat, np.ndarray) and u_hat.shape == (1, 8)
+    assert np.array_equal(u_hat[0], np.zeros(8, dtype=np.int8))
+    assert u_hat[0, [3, 5, 6, 7]].tolist() == [0, 0, 0, 0]
 
 
 def test_sc_inverts_encode_exhaustive_n4():
@@ -67,8 +67,8 @@ def test_sc_inverts_encode_exhaustive_n4():
     for word in range(16):
         u = np.array([(word >> i) & 1 for i in range(4)], dtype=np.int8)
         llr = (1.0 - 2.0 * encode(u, spec)) * 40.0
-        res = sc_decode(llr, frozen=(), spec=spec)
-        assert np.array_equal(res.u_hat, u)
+        u_hat = SCDecoder(spec, range(1, 5)).decode(llr[None])
+        assert np.array_equal(u_hat[0], u)
 
 
 def test_sc_inverts_encode_random_n16():
@@ -95,21 +95,21 @@ def test_sc_punctured_subtree_annihilation():
     u = np.array([1, 0, 0, 0], dtype=np.int8)
     llr = (1.0 - 2.0 * encode(u, spec)) * 40.0
     llr[3] = 0.0
-    res = sc_decode(llr, frozen=(), spec=spec)
-    assert res.u_hat[0] == 0
+    u_hat = SCDecoder(spec, range(1, 5)).decode(llr[None])
+    assert u_hat[0, 0] == 0
 
 
 def test_zero_llr_propagation():
     spec = CodeSpec(16, 16)
-    res = sc_decode(np.zeros(16), frozen=(), spec=spec)
-    assert np.array_equal(res.u_hat, np.zeros(16, dtype=np.int8))
+    u_hat = SCDecoder(spec, range(1, 17)).decode(np.zeros((1, 16)))
+    assert np.array_equal(u_hat[0], np.zeros(16, dtype=np.int8))
 
 
 def test_sc_llr_length_validation():
     with pytest.raises(ValueError):
-        sc_decode(np.zeros(7), frozen=(), spec=CodeSpec(8, 8))
+        SCDecoder(CodeSpec(8, 8), range(1, 9)).decode(np.zeros((1, 7)))
     with pytest.raises(ValueError):
-        sc_decode(np.zeros(8), frozen=(9,), spec=CodeSpec(8, 8))
+        SCDecoder(CodeSpec(8, 8), (9,))
 
 
 def _noisy_frames(spec, info, ebn0_db, count, seed, pattern=None):
@@ -267,8 +267,8 @@ def test_scl_noiseless_crc_ok():
     u = np.zeros(16, dtype=np.int8)
     u[np.array(info) - 1] = [1, 0, 1, 1, 0, 0, 1, 0]
     llr = (1.0 - 2.0 * encode(u, spec)) * 30.0
-    res = scl_decode(llr, frozen=tuple(range(1, 9)), spec=spec, list_size=4)
-    assert np.array_equal(res.u_hat, u)
+    u_hat, _ = SCLDecoder(spec, info, list_size=4).decode(llr[None])
+    assert np.array_equal(u_hat[0], u)
 
     # with CRC-16 on a larger code the clean frame must verify
     spec = CodeSpec(64, 32)
@@ -280,10 +280,9 @@ def test_scl_noiseless_crc_ok():
     u = np.zeros(64, dtype=np.int8)
     u[np.asarray(info) - 1] = word
     llr = (1.0 - 2.0 * encode(u, spec)) * 30.0
-    frozen = tuple(i for i in range(1, 65) if i not in set(info))
-    res = scl_decode(llr, frozen=frozen, spec=spec, list_size=8, crc_len=16)
-    assert res.crc_ok is True
-    assert np.array_equal(res.info_bits, word)
+    u_hat, crc_ok = SCLDecoder(spec, info, list_size=8, crc_len=16).decode(llr[None])
+    assert crc_ok.tolist() == [True]
+    assert np.array_equal(u_hat[0, np.asarray(info) - 1], word)
 
 
 def test_scl_not_worse_than_sc_paired():

@@ -26,6 +26,11 @@ def test_decoder_config_validation():
         DecoderConfig("sc", list_size=4)
     with pytest.raises(ValueError):
         DecoderConfig("turbo")
+    for list_size in (0, -2):
+        with pytest.raises(ValueError):
+            DecoderConfig("scl", list_size=list_size)
+    with pytest.raises(ValueError):
+        DecoderConfig("scl", list_size=8, crc_len=8)
 
 
 def test_noise_variance_at_0db_rate_half():
