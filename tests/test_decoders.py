@@ -237,6 +237,16 @@ def _reference_partial_sums(u):
     return x
 
 
+@settings(max_examples=150, deadline=None)
+@given(_sc_cases(max_m=6))
+def test_sc_matches_plain_list_decoder_with_one_path(case):
+    # The plain list decoder shares no code with SCDecoder's tree walk or its
+    # rate-0 skipping, so it is an independent reference for SC.
+    spec, info, llr = case
+    want, _ = _reference_scl(llr, info, 1, 0)
+    assert np.array_equal(SCDecoder(spec, info).decode(llr), want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_scl_matches_plain_list_decoder(data):
