@@ -9,8 +9,8 @@ from .core import (CodeSpec, bit_reversal_permutation, bit_reverse, encode,
                    generator_matrix)
 from .decoders import (SCDecoder, SCLDecoder, crc16_append, crc16_ccitt,
                        crc16_check, f_node, g_node)
-from .evolution import (DeConfig, DeResult, Population, de_optimize,
-                        evaluation_seed, init_population, make_trial)
+from .evolution import (DeConfig, DeResult, de_optimize, evaluation_seed,
+                        init_population, make_trial)
 from .montecarlo import (BerReport, ChannelModel, DecoderConfig, channel_llrs,
                          objective, simulate)
 from .puncturing import (PatternFileError, PuncturingPattern,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerReport", "ChannelModel", "CodeSpec", "DeConfig", "DeResult",
-    "DecoderConfig", "PatternFileError", "Population", "PuncturingPattern",
+    "DecoderConfig", "PatternFileError", "PuncturingPattern",
     "ReliabilityVector", "SCDecoder", "SCLDecoder", "bec_bhattacharyya",
     "bit_reversal_permutation", "bit_reverse", "branch_role_counts",
     "channel_llrs", "crc16_append", "crc16_ccitt", "crc16_check",

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .construction import ga_llr_means, select_information_set
 from .core import CodeSpec
 from .evolution import DeConfig, de_optimize
-from .montecarlo import ChannelModel, DecoderConfig, simulate
+from .montecarlo import (ChannelModel, DecoderConfig, matched_information_set,
+                         simulate)
 from .puncturing import (PuncturingPattern, load_pattern, qup_pattern,
                          rqup_pattern, save_pattern)
 
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ebn0", required=True,
                        help="comma-separated Eb/N0 sweep in dB, e.g. '6,7,8'")
         p.add_argument("--decoder", choices=["sc", "scl"], default="sc")
-        p.add_argument("--list-size", type=_positive_int, default=8)
+        p.add_argument("--list-size", type=_positive_int, default=None,
+                       help="paths kept by --decoder scl (default 8)")
         p.add_argument("--crc", type=int, default=0, choices=[0, 16])
         p.add_argument("--trials", type=_positive_int, default=100000,
                        help="block budget per SNR point")
@@ -206,8 +207,7 @@ def _cmd_pattern(args) -> None:
     pattern = qup_pattern(spec, args.n_p) if args.method == "qup" \
         else rqup_pattern(spec, args.n_p)
     rate = spec.k_info / pattern.n_transmitted
-    reliability = ga_llr_means(spec, args.ebn0, pattern, rate)
-    info_set = select_information_set(reliability, spec.k_info)
+    info_set = matched_information_set(spec, pattern, ChannelModel.awgn(args.ebn0))
     provenance = (f"{args.method} baseline: n={args.n} k={args.k} np={args.n_p} "
                   f"design_ebn0_db={args.ebn0} (information set from the Gaussian "
                   f"approximation at effective rate {rate!r})")
@@ -223,11 +223,6 @@ def _parse_snrs(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"--ebn0 expects comma-separated numbers: {exc}") from exc
-
-
-def _load_labeled(path: str):
-    pattern, info_set, _ = load_pattern(path)
-    return Path(path).stem, pattern, info_set
 
 
 def _point_seed(base_seed: int, snr_index: int, increment: int) -> int:
@@ -257,8 +252,8 @@ def _curve_point(spec: CodeSpec, pattern: PuncturingPattern, info_set,
                       block_errors=block_errors, bit_errors=bit_errors)
 
 
-def _sweep(path: str, snrs: list[float], args) -> tuple[str, list[CurvePoint]]:
-    label, pattern, info_set = _load_labeled(path)
+def _sweep(path: str, pattern: PuncturingPattern, info_set, snrs: list[float],
+           args) -> list[CurvePoint]:
     if info_set is None:
         raise ValueError(
             f"pattern file {path!r} lacks an info_set; generate it with "
@@ -267,15 +262,15 @@ def _sweep(path: str, snrs: list[float], args) -> tuple[str, list[CurvePoint]]:
     if args.decoder == "sc":
         if args.crc:
             raise UsageError("--crc requires --decoder scl")
+        if args.list_size is not None:
+            raise UsageError("--list-size requires --decoder scl")
         decoder = DecoderConfig("sc")
     else:
-        decoder = DecoderConfig("scl", list_size=args.list_size, crc_len=args.crc)
-    points = []
-    for snr_index, ebn0 in enumerate(snrs):
-        points.append(_curve_point(spec, pattern, info_set, ebn0, snr_index,
-                                   decoder, args.trials, args.max_block_errors,
-                                   args.seed, args.workers))
-    return label, points
+        decoder = DecoderConfig("scl", list_size=args.list_size or 8,
+                                crc_len=args.crc)
+    return [_curve_point(spec, pattern, info_set, ebn0, snr_index, decoder,
+                         args.trials, args.max_block_errors, args.seed, args.workers)
+            for snr_index, ebn0 in enumerate(snrs)]
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
@@ -287,7 +282,8 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 def _cmd_evaluate(args) -> None:
     snrs = _parse_snrs(args.ebn0)
-    _, points = _sweep(args.pattern, snrs, args)
+    pattern, info_set, _ = load_pattern(args.pattern)
+    points = _sweep(args.pattern, pattern, info_set, snrs, args)
     rows = [[p.ebn0_db, p.blocks, p.block_errors, p.bit_errors, p.bler, p.ber,
              args.seed] for p in points]
     _write_rows(args.out, CSV_HEADER, rows)
@@ -298,15 +294,15 @@ def _cmd_compare(args) -> None:
     if len(args.patterns) < 2:
         raise ValueError("compare needs at least two pattern files")
     snrs = _parse_snrs(args.ebn0)
-    labeled = [_load_labeled(p) for p in args.patterns]
-    sizes = {pattern.n_mother for _, pattern, _ in labeled}
+    loaded = [load_pattern(path)[:2] for path in args.patterns]
+    sizes = {pattern.n_mother for pattern, _ in loaded}
     if len(sizes) > 1:
         raise ValueError(f"pattern files disagree on N: {sorted(sizes)}")
     rows = []
-    for path in args.patterns:
-        label, points = _sweep(path, snrs, args)
-        rows.extend([[label, p.ebn0_db, p.blocks, p.block_errors, p.bit_errors,
-                      p.bler, p.ber, args.seed] for p in points])
+    for path, (pattern, info_set) in zip(args.patterns, loaded):
+        points = _sweep(path, pattern, info_set, snrs, args)
+        rows.extend([[Path(path).stem, p.ebn0_db, p.blocks, p.block_errors,
+                      p.bit_errors, p.bler, p.ber, args.seed] for p in points])
     _write_rows(args.out, ["pattern"] + CSV_HEADER, rows)
     print(f"wrote {args.out} ({len(args.patterns)} patterns x {len(snrs)} SNR points)")
 

@@ -73,6 +73,10 @@ def _info_mask(spec: CodeSpec, info_set) -> np.ndarray:
 class SCDecoder:
     """Batch successive-cancellation decoder.
 
+    LLRs go down the tree and partial sums come back up in (width, B)
+    arrays, so each half of a node is one contiguous block and every kernel
+    call is a single long pass.  ``SCLDecoder`` subclasses this walk.
+
     Rate-0 subtrees, whose input positions are all frozen, decode to zeros
     whatever their LLRs are, so the decoder never descends into them
     (Alamdar-Yazdi & Kschischang, "A simplified successive-cancellation
@@ -103,40 +107,61 @@ class SCDecoder:
     def _rate0(self, base: int, width: int) -> bool:
         return self._info_count[base + width] == self._info_count[base]
 
-    def decode(self, llrs: np.ndarray) -> np.ndarray:
-        """Decode a (B, N) batch of channel LLR vectors to (B, N) input bits."""
+    def _tree_llrs(self, llrs: np.ndarray) -> np.ndarray:
+        """The (B, N) channel LLRs as the tree's (N, B) bit-reversed array."""
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
         n = self.spec.n_mother
         if llrs.shape[1] != n:
             raise ValueError(f"LLR length {llrs.shape[1]} != N={n}")
-        # The tree runs on (width, B) arrays, so each half of a node is one
-        # contiguous block and every kernel call is a single long pass.
-        self._u = np.zeros((n, llrs.shape[0]), dtype=np.int8)
-        if not self._rate0(0, n):
-            self._recurse(llrs.T[self._perm], 0)
+        return llrs.T[self._perm]
+
+    def decode(self, llrs: np.ndarray) -> np.ndarray:
+        """Decode a (B, N) batch of channel LLR vectors to (B, N) input bits."""
+        llr = self._tree_llrs(llrs)
+        self._u = np.zeros(llr.shape, dtype=np.int8)
+        if not self._rate0(0, llr.shape[0]):
+            self._recurse(llr, 0)
         return np.ascontiguousarray(self._u.T)
 
-    def _recurse(self, llr: np.ndarray, base: int) -> np.ndarray:
-        """Decode a subtree that holds at least one information position."""
+    def _recurse(self, llr: np.ndarray, base: int):
+        """Decode the subtree at ``base`` from its (width, B, ...) LLRs.
+
+        Returns its partial sums and path map: None if the subtree made no
+        prune (always so in SC), else the (B, L) index of the entering path
+        that each leaving path continues.
+        """
         width = llr.shape[0]
         if width == 1:
-            bits = (llr[0] < 0).astype(np.int8)
-            self._u[base] = bits
-            return bits[None]
+            return self._leaf(llr[0], base)
         half = width // 2
         a, b = llr[:half], llr[half:]
         if self._rate0(base, half):
             # Left partial sums are 0, so g(a, b, 0) = 1.0 * a + b = a + b.
-            c_right = self._recurse(a + b, base + half)
-            return np.concatenate([c_right, c_right])
-        c_left = self._recurse(f_node(a, b), base)
+            c_right, paths = self._recurse(a + b, base + half)
+            return np.concatenate([c_right, c_right]), paths
+        c_left, left = self._recurse(f_node(a, b), base)
         if self._rate0(base + half, half):
-            return np.concatenate([c_left, np.zeros_like(c_left)])
-        c_right = self._recurse(g_node(a, b, c_left), base + half)
-        return np.concatenate([c_left ^ c_right, c_right])
+            return np.concatenate([c_left, np.zeros_like(c_left)]), left
+        llr = _follow(llr, left)
+        c_right, right = self._recurse(g_node(llr[:half], llr[half:], c_left),
+                                       base + half)
+        paths = left
+        if right is not None:
+            c_left = _follow(c_left, right)
+            if left is not None:
+                paths = left[np.arange(len(left))[:, None], right]
+            else:
+                paths = right
+        return np.concatenate([c_left ^ c_right, c_right]), paths
+
+    def _leaf(self, llr: np.ndarray, base: int):
+        """Decide information bit ``base`` from its (B,) LLRs."""
+        bits = (llr < 0).astype(np.int8)
+        self._u[base] = bits
+        return bits[None], None
 
 
-class SCLDecoder:
+class SCLDecoder(SCDecoder):
     """Batch CRC-aided successive-cancellation list decoder.
 
     Path metrics follow the standard LLR-domain formulation: a path pays
@@ -146,13 +171,14 @@ class SCLDecoder:
     falling back to the overall best-metric path with ``crc_ok`` False.
 
     Path state is copied lazily (Tal & Vardy, "List decoding of polar
-    codes", IEEE T-IT 2015) along the recursion of ``SCDecoder``: LLRs go
-    down the tree and partial sums come back up.  Tree arrays are
-    (width, B, L'), where the list axis has length L' = 1 while every path
-    still shares the array, so the channel LLRs and all the work before the
-    first information leaf are held and computed once per frame.  A subtree
-    that prunes the list also returns a (B, L) path map: for each path
-    leaving it, the entering path it continues.  The parent gathers the
+    codes", IEEE T-IT 2015).  The decoder inherits the tree walk of
+    ``SCDecoder`` and differs in its leaf rule and in visiting every leaf:
+    frozen leaves charge path metrics, so skipping rate-0 subtrees is not
+    exact.  Tree arrays are (width, B, L'), where L' = 1 while
+    every path still shares the array, so the channel LLRs and all the work
+    before the first information leaf are held and computed once per frame.
+    A subtree that prunes the list also returns a (B, L) path map: for each
+    path leaving it, the entering path it continues.  The parent gathers the
     arrays it still holds once per child subtree (its LLRs before ``g``,
     the left partial sums before combining) and composes the maps of its
     two children.  Decided bits are not copied at all: each information
@@ -171,27 +197,25 @@ class SCLDecoder:
             raise ValueError(f"list_size must be >= 1, got {list_size}")
         if crc_len not in (0, CRC16_LEN):
             raise ValueError(f"crc_len must be 0 or {CRC16_LEN}, got {crc_len}")
-        self.spec = spec
-        self.info_mask = _info_mask(spec, info_set)
+        super().__init__(spec, info_set)
         self.info_idx = np.flatnonzero(self.info_mask)
         if crc_len and crc_len >= self.info_idx.size:
             raise ValueError("information set too small to carry the CRC")
         self.list_size = list_size
         self.crc_len = crc_len
-        self._perm = bit_reversal_permutation(spec.m)
+
+    def _rate0(self, base: int, width: int) -> bool:
+        return False
 
     def decode(self, llrs: np.ndarray):
         """Decode a (B, N) batch; returns (u_hat (B, N), crc_ok (B,) or None)."""
-        llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-        n = self.spec.n_mother
-        if llrs.shape[1] != n:
-            raise ValueError(f"LLR length {llrs.shape[1]} != N={n}")
-        batch = llrs.shape[0]
+        llr = self._tree_llrs(llrs)
+        n, batch = llr.shape
         self._pm = np.full((batch, self.list_size), np.inf)
         self._pm[:, 0] = 0.0
         self._trail = []
 
-        self._recurse(llrs.T[self._perm][:, :, None], 0)
+        self._recurse(llr[:, :, None], 0)
 
         info, pm = self._backtrack(), self._pm
         if self.crc_len:
@@ -209,30 +233,6 @@ class SCLDecoder:
         u_hat = np.zeros((batch, n), dtype=np.int8)
         u_hat[:, self.info_idx] = info[np.arange(batch), chosen]
         return u_hat, crc_ok
-
-    def _recurse(self, llr: np.ndarray, base: int):
-        """Decode the subtree at ``base`` from its (width, B, L') LLRs.
-
-        Returns the subtree's partial sums and its path map: None if the
-        subtree made no prune, else the (B, L) index of the entering path
-        that each leaving path continues.
-        """
-        width = llr.shape[0]
-        if width == 1:
-            return self._leaf(llr[0], base)
-        half = width // 2
-        c_left, left = self._recurse(f_node(llr[:half], llr[half:]), base)
-        llr = _follow(llr, left)
-        c_right, right = self._recurse(g_node(llr[:half], llr[half:], c_left),
-                                       base + half)
-        paths = left
-        if right is not None:
-            c_left = _follow(c_left, right)
-            if left is not None:
-                paths = left[np.arange(len(left))[:, None], right]
-            else:
-                paths = right
-        return np.concatenate([c_left ^ c_right, c_right]), paths
 
     def _leaf(self, llr: np.ndarray, base: int):
         """Extend every path by input bit ``base`` given its (B, L') LLRs.

@@ -52,6 +52,16 @@ def test_pattern_missing_flags_usage_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("method", ["qup", "rqup"])
+def test_pattern_rejects_nan_design_snr(tmp_path, capsys, method):
+    out = tmp_path / "nan.json"
+    rc = main(["pattern", "--method", method, "--n", "16", "--k", "8",
+               "--np", "4", "--ebn0", "nan", "--out", str(out)])
+    assert rc == 3
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimize_writes_pattern_and_log(tmp_path):
     out = tmp_path / "opt.json"
     rc = main(["optimize", "--n", "8", "--k", "4", "--np", "2", "--ebn0", "3",
@@ -152,6 +162,36 @@ def test_evaluate_sc_with_crc_is_usage_error(tmp_path):
     rc = main(["evaluate", "--pattern", str(pat), "--ebn0", "1",
                "--decoder", "sc", "--crc", "16", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_list_size_with_sc_is_usage_error(tmp_path, capsys, command):
+    pat = tmp_path / "p.json"
+    main(["pattern", "--method", "qup", "--n", "8", "--k", "4", "--np", "2",
+          "--ebn0", "3", "--out", str(pat)])
+    inputs = (["--pattern", str(pat)] if command == "evaluate"
+              else ["--patterns", str(pat), str(pat)])
+    out = tmp_path / "x.csv"
+    rc = main([command] + inputs + ["--ebn0", "1", "--decoder", "sc",
+                                    "--list-size", "4", "--out", str(out)])
+    assert rc == 1
+    assert "--list-size requires --decoder scl" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scl_list_size_defaults_to_8(tmp_path):
+    pat = tmp_path / "p.json"
+    main(["pattern", "--method", "qup", "--n", "16", "--k", "8", "--np", "4",
+          "--ebn0", "3", "--out", str(pat)])
+    curves = []
+    for extra in ([], ["--list-size", "8"], ["--list-size", "1"]):
+        out = tmp_path / f"scl{len(curves)}.csv"
+        assert main(["evaluate", "--pattern", str(pat), "--ebn0", "0,1",
+                     "--decoder", "scl", "--trials", "3000",
+                     "--max-block-errors", "1000000", "--out", str(out)]
+                    + extra) == 0
+        curves.append(out.read_bytes())
+    assert curves[0] == curves[1] != curves[2]
 
 
 _BAD_COUNTS = [(flag, value)
