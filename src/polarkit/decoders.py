@@ -133,13 +133,15 @@ class SCDecoder:
         width = llr.shape[0]
         if width == 1:
             return self._leaf(llr[0], base)
+        # No names are bound to the halves of ``llr``: once the left child
+        # has pruned, the gathered ``llr`` must replace the entering one in
+        # memory, not sit beside it for the rest of the subtree.
         half = width // 2
-        a, b = llr[:half], llr[half:]
         if self._rate0(base, half):
             # Left partial sums are 0, so g(a, b, 0) = 1.0 * a + b = a + b.
-            c_right, paths = self._recurse(a + b, base + half)
+            c_right, paths = self._recurse(llr[:half] + llr[half:], base + half)
             return np.concatenate([c_right, c_right]), paths
-        c_left, left = self._recurse(f_node(a, b), base)
+        c_left, left = self._recurse(f_node(llr[:half], llr[half:]), base)
         if self._rate0(base + half, half):
             return np.concatenate([c_left, np.zeros_like(c_left)]), left
         llr = _follow(llr, left)

@@ -164,8 +164,10 @@ def _sc_cases(draw, max_m=8, min_k=1):
 @settings(max_examples=150, deadline=None)
 @given(_sc_cases())
 def test_sc_equals_scl_list1_on_edge_case_information_sets(case):
-    # SCL walks every subtree, frozen or not, so it is an independent
-    # reference for SC's skipping of all-frozen subtrees.
+    # SCL shares SC's tree walk but enters every subtree, frozen or not, so
+    # this checks SC's skipping of all-frozen subtrees against the unskipped
+    # walk, and that SCL's leaf rule at one path makes SC's decisions.  The
+    # walk itself is checked by test_sc_matches_plain_list_decoder_with_one_path.
     spec, info, llr = case
     sc = SCDecoder(spec, info).decode(llr)
     scl, _ = SCLDecoder(spec, info, list_size=1).decode(llr)
