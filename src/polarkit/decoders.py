@@ -176,9 +176,9 @@ class SCLDecoder(SCDecoder):
     codes", IEEE T-IT 2015).  The decoder inherits the tree walk of
     ``SCDecoder`` and differs in its leaf rule and in visiting every leaf:
     frozen leaves charge path metrics, so skipping rate-0 subtrees is not
-    exact.  Tree arrays are (width, B, L'), where L' = 1 while
-    every path still shares the array, so the channel LLRs and all the work
-    before the first information leaf are held and computed once per frame.
+    exact.  Tree arrays are (width, B, L'), where L' = 1 while every path
+    still shares the array, so the channel LLRs and all the work before the
+    first information leaf are held and computed once per frame.
     A subtree that prunes the list also returns a (B, L) path map: for each
     path leaving it, the entering path it continues.  The parent gathers the
     arrays it still holds once per child subtree (its LLRs before ``g``,
