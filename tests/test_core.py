@@ -104,3 +104,20 @@ def test_bit_reversal_permutation_matches_scalar_reference():
     assert bit_reversal_permutation(4).tolist() == [bit_reverse(i, 4) for i in range(16)]
     with pytest.raises(ValueError):
         bit_reversal_permutation(0)
+
+
+@pytest.mark.parametrize("shape", [(16,), (5, 16), (3, 4, 16)])
+def test_encode_keeps_its_contract_for_any_batch_shape(shape):
+    spec = CodeSpec(16, 8)
+    g = generator_matrix(spec).astype(np.int64)
+    rng = np.random.default_rng(len(shape))
+    bits = rng.integers(0, 2, size=shape)
+    for u in (bits.astype(np.int8), bits, bits.astype(bool),
+              np.asfortranarray(bits.astype(np.int8)), bits.astype(np.int8)[..., ::-1]):
+        before = u.copy()
+        x = encode(u, spec)
+        assert x.dtype == np.int8 and x.shape == shape
+        assert np.array_equal(x, (u.astype(np.int64) @ g) % 2)
+        assert np.array_equal(u, before)
+        assert not np.shares_memory(x, u)
+    assert np.array_equal(encode(bits.tolist(), spec), encode(bits, spec))

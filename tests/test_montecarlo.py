@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig,
-                      PuncturingPattern, channel_llrs, noise_variance,
-                      objective, qup_pattern, simulate)
+                      PuncturingPattern, SCDecoder, SCLDecoder, channel_llrs,
+                      generator_matrix, noise_variance, objective,
+                      qup_pattern, simulate)
+from polarkit.decoders import crc16_remainder_bits
+from polarkit.montecarlo import SimulationRun, _simulate_chunk
 
 
 def test_channel_model_validation():
@@ -199,3 +202,134 @@ def test_objective_unpunctured_high_snr_near_zero():
     _, value = objective(spec, PuncturingPattern(16, ()),
                          ChannelModel.awgn(8.0), trials=20000, seed=2)
     assert value < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# An independent oracle for one Monte Carlo chunk.  It makes the same Philox
+# draws in the same order as the simulator (payload, then the channel draw of
+# shape (B, N)), but encodes with the dense generator matrix, writes the LLR
+# formula out and decodes through the public ``decode`` methods, all in the
+# natural (B, N) order.
+# ---------------------------------------------------------------------------
+
+def _oracle_chunk(job):
+    (spec, pattern, info_idx, model, decoder, eff_rate, payload_mode,
+     seed, chunk_index, chunk_trials) = job
+    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    n = spec.n_mother
+    data_len = info_idx.size - decoder.crc_len
+    if payload_mode == "random":
+        payload = rng.integers(0, 2, size=(chunk_trials, data_len), dtype=np.int8)
+    else:
+        payload = np.zeros((chunk_trials, data_len), dtype=np.int8)
+    word = payload
+    if decoder.crc_len:
+        word = np.concatenate([payload, crc16_remainder_bits(payload)], axis=1)
+    u = np.zeros((chunk_trials, n), dtype=np.int8)
+    u[:, info_idx] = word
+
+    x = (u.astype(np.int64) @ generator_matrix(spec).astype(np.int64)) % 2
+    signs = 1.0 - 2.0 * x
+    if model.kind == "awgn_bpsk" and math.isinf(model.ebn0_db):
+        llr = signs * 1e4
+    elif model.kind == "awgn_bpsk":
+        sigma2 = 1.0 / (2.0 * eff_rate * 10.0 ** (model.ebn0_db / 10.0))
+        y = signs + rng.normal(0.0, math.sqrt(sigma2), size=(chunk_trials, n))
+        llr = 2.0 * y / sigma2
+    else:
+        erased = rng.random((chunk_trials, n)) < model.epsilon
+        llr = signs * 1e4
+        llr[erased] = 0.0
+    llr[:, pattern.zero_based()] = 0.0
+
+    info_set = tuple(int(i) + 1 for i in info_idx)
+    if decoder.kind == "sc":
+        u_hat = SCDecoder(spec, info_set).decode(llr)
+    else:
+        u_hat, _ = SCLDecoder(spec, info_set, list_size=decoder.list_size,
+                              crc_len=decoder.crc_len).decode(llr)
+    diff = u_hat[:, info_idx] != word
+    return diff.sum(axis=0), int(diff.any(axis=1).sum())
+
+
+_SC = DecoderConfig()
+_CHUNK_CASES = [
+    # (N, K, n_p, pattern, model, decoder, payload, trials, chunk_size)
+    (2, 1, 1, "qup", ChannelModel.awgn(1.0), _SC, "random", 45, 16),
+    (4, 2, 1, "random", ChannelModel.bec(0.3), _SC, "random", 45, 16),
+    (8, 4, 2, "qup", ChannelModel.awgn(math.inf), _SC, "random", 45, 16),
+    (16, 8, 5, "random", ChannelModel.awgn(1.0), _SC, "zero", 300, 128),
+    (32, 24, 8, "qup", ChannelModel.awgn(4.0),
+     DecoderConfig("scl", list_size=4, crc_len=16), "random", 300, 128),
+    (64, 32, 24, "random", ChannelModel.awgn(1.0),
+     DecoderConfig("scl", list_size=4), "random", 300, 128),
+    (64, 32, 24, "qup", ChannelModel.bec(0.4),
+     DecoderConfig("scl", list_size=8, crc_len=16), "random", 300, 128),
+    (128, 64, 28, "random", ChannelModel.awgn(4.0),
+     DecoderConfig("scl", list_size=8, crc_len=16), "random", 200, 96),
+    (128, 64, 28, "qup", ChannelModel.awgn(1.0), _SC, "random", 200, 96),
+    (256, 128, 0, "qup", ChannelModel.awgn(1.0), _SC, "random", 200, 96),
+    (512, 256, 100, "random", ChannelModel.bec(0.3), _SC, "random", 100, 48),
+    (512, 256, 100, "qup", ChannelModel.awgn(math.inf), _SC, "zero", 100, 48),
+    (1024, 512, 224, "qup", ChannelModel.awgn(1.0), _SC, "random", 100, 48),
+    (1024, 512, 224, "random", ChannelModel.awgn(4.0), _SC, "random", 100, 48),
+]
+
+
+@pytest.mark.parametrize("case", _CHUNK_CASES, ids=lambda c: f"N{c[0]}-{c[3]}-"
+                         f"{c[4].kind}{c[4].ebn0_db if c[4].kind != 'bec' else c[4].epsilon}-"
+                         f"{c[5].kind}{c[5].list_size}crc{c[5].crc_len}-{c[6]}")
+def test_chunk_matches_independent_oracle(case):
+    n, k, n_p, kind, model, decoder, payload, trials, chunk = case
+    spec = CodeSpec(n, k)
+    rng = np.random.default_rng(n + n_p)
+    if n_p == 0:
+        pattern = PuncturingPattern(n, ())
+    elif kind == "qup":
+        pattern = qup_pattern(spec, n_p)
+    else:
+        pattern = PuncturingPattern(n, tuple(
+            sorted(int(i) + 1 for i in rng.choice(n, n_p, replace=False))))
+    info = tuple(sorted(int(i) + 1 for i in rng.choice(n, k, replace=False)))
+    run = SimulationRun.plan(spec, pattern, info, model, decoder=decoder,
+                             trials=trials, seed=n * 7 + 1, payload=payload,
+                             chunk_size=chunk)
+    jobs = run.jobs()
+    assert jobs[-1][-1] < chunk  # the last chunk is a short one
+    results = [_simulate_chunk(job) for job in jobs]
+    for job, (errs, blocks) in zip(jobs, results):
+        want_errs, want_blocks = _oracle_chunk(job)
+        assert errs.dtype == np.int64
+        assert np.array_equal(errs, want_errs)
+        assert blocks == want_blocks
+    # The channel is noisy enough somewhere that the comparison is not empty.
+    if model.kind == "bec" or not math.isinf(model.ebn0_db):
+        assert sum(blocks for _, blocks in results) > 0
+
+
+@pytest.mark.parametrize("model", [ChannelModel.awgn(2.0), ChannelModel.awgn(math.inf),
+                                   ChannelModel.bec(0.4)],
+                         ids=["awgn", "noiseless", "bec"])
+def test_channel_llrs_keep_natural_order_and_zero_punctured(model):
+    n, rate = 16, 0.6
+    pattern = PuncturingPattern(n, (2, 7, 11))
+    punctured = pattern.zero_based()
+    x = np.random.default_rng(4).integers(0, 2, size=(40, n), dtype=np.int8)
+    before = x.copy()
+    llr = channel_llrs(x, model, pattern, rate, np.random.default_rng(5))
+
+    rng = np.random.default_rng(5)
+    signs = 1.0 - 2.0 * x
+    if model.kind == "bec":
+        want = signs * 1e4
+        want[rng.random(x.shape) < model.epsilon] = 0.0
+    elif math.isinf(model.ebn0_db):
+        want = signs * 1e4
+    else:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (model.ebn0_db / 10.0))
+        want = 2.0 * (signs + rng.normal(0.0, math.sqrt(sigma2), size=x.shape)) / sigma2
+    want[:, punctured] = 0.0
+    assert llr.dtype == np.float64 and llr.shape == x.shape
+    assert np.array_equal(llr, want)
+    assert np.all(llr[:, punctured] == 0.0) and not np.signbit(llr[:, punctured]).any()
+    assert np.array_equal(x, before)
