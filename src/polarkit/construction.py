@@ -129,12 +129,19 @@ def _ga_upper(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def noise_variance(ebn0_db: float, effective_rate: float) -> float:
-    """BPSK noise variance for a given Eb/N0 and rate: 1/(2 R 10^(Eb/N0/10))."""
+    """BPSK noise variance 1/(2 R 10^(Eb/N0/10)); 0 for the noiseless +inf
+    Eb/N0.  Raises ValueError if the variance is not a finite positive number."""
     if not effective_rate > 0:
         raise ValueError(f"effective_rate must be > 0, got {effective_rate}")
-    if math.isinf(ebn0_db) and ebn0_db > 0:
+    if ebn0_db == math.inf:
         return 0.0
-    return 1.0 / (2.0 * effective_rate * 10.0 ** (ebn0_db / 10.0))
+    try:
+        sigma2 = 1.0 / (2.0 * effective_rate * 10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"Eb/N0 {ebn0_db} dB gives no finite positive noise variance")
+    return sigma2
 
 
 def ga_llr_means(spec: CodeSpec, design_ebn0_db: float,

@@ -68,35 +68,27 @@ def bit_reversal_permutation(m: int) -> np.ndarray:
     return out
 
 
+def polar_transform(x: np.ndarray) -> np.ndarray:
+    """x F2^(kron m) along axis 0 of the int8 bits ``x``, in place; each stage
+    XORs contiguous row blocks.  B_N commutes with F2^(kron m), so this maps
+    inputs u to the codeword u B_N F2^(kron m) in bit-reversed order."""
+    n, half = x.shape[0], 1
+    while half < n:
+        blocks = x.reshape((n // (2 * half), 2 * half) + x.shape[1:])
+        blocks[:, :half] ^= blocks[:, half:]
+        half *= 2
+    return x
+
+
 def encode(u, spec: CodeSpec) -> np.ndarray:
-    """Encode input bits with the mother polar transform.
-
-    Implements the natural-order butterfly network preceded by an explicit
-    bit-reversal permutation of the input, which equals multiplication by
-    B_N F2^(kron m) over GF(2).
-
-    Parameters
-    ----------
-    u : array-like of {0,1}
-        Input bits; the last axis must have length N.  Leading axes are
-        treated as a batch.
-
-    Returns
-    -------
-    ndarray of int8, same shape as ``u``.
-    """
+    """Encode input bits ``u`` (last axis N, leading axes a batch) to a new
+    int8 array of codewords u B_N F2^(kron m), by ``polar_transform``."""
     u = np.asarray(u)
     n = spec.n_mother
     if u.shape[-1] != n:
         raise ValueError(f"input length {u.shape[-1]} does not match N={n}")
-    perm = bit_reversal_permutation(spec.m)
-    x = np.ascontiguousarray(u[..., perm]).astype(np.int8)
-    for stage in range(spec.m):
-        step = 1 << (stage + 1)
-        half = step >> 1
-        blocks = x.reshape(x.shape[:-1] + (n // step, step))
-        blocks[..., :half] ^= blocks[..., half:]
-    return x
+    x = polar_transform(np.moveaxis(u, -1, 0).astype(np.int8, order="C"))
+    return np.ascontiguousarray(np.moveaxis(x[bit_reversal_permutation(spec.m)], 0, -1))
 
 
 def generator_matrix(spec: CodeSpec, max_n: int = GENERATOR_MATRIX_MAX_N) -> np.ndarray:

@@ -117,11 +117,14 @@ class SCDecoder:
 
     def decode(self, llrs: np.ndarray) -> np.ndarray:
         """Decode a (B, N) batch of channel LLR vectors to (B, N) input bits."""
-        llr = self._tree_llrs(llrs)
+        return np.ascontiguousarray(self._decode_tree(self._tree_llrs(llrs)).T)
+
+    def _decode_tree(self, llr: np.ndarray) -> np.ndarray:
+        """Decode the tree's (N, B) channel LLRs to (N, B) input bits."""
         self._u = np.zeros(llr.shape, dtype=np.int8)
         if not self._rate0(0, llr.shape[0]):
             self._recurse(llr, 0)
-        return np.ascontiguousarray(self._u.T)
+        return self._u
 
     def _recurse(self, llr: np.ndarray, base: int):
         """Decode the subtree at ``base`` from its (width, B, ...) LLRs.
@@ -212,29 +215,29 @@ class SCLDecoder(SCDecoder):
     def decode(self, llrs: np.ndarray):
         """Decode a (B, N) batch; returns (u_hat (B, N), crc_ok (B,) or None)."""
         llr = self._tree_llrs(llrs)
-        n, batch = llr.shape
+        info, crc_ok = self._decode_tree(llr)
+        u_hat = np.zeros(llr.shape[::-1], dtype=np.int8)
+        u_hat[:, self.info_idx] = info
+        return u_hat, crc_ok
+
+    def _decode_tree(self, llr: np.ndarray):
+        """Decode the tree's (N, B) channel LLRs; returns the chosen path's
+        (B, K) information bits and crc_ok (B,) or None."""
+        batch = llr.shape[1]
         self._pm = np.full((batch, self.list_size), np.inf)
         self._pm[:, 0] = 0.0
         self._trail = []
 
         self._recurse(llr[:, :, None], 0)
 
-        info, pm = self._backtrack(), self._pm
+        info, pm, crc_ok = self._backtrack(), self._pm, None
         if self.crc_len:
-            payload = info[:, :, :-self.crc_len]
-            want = info[:, :, -self.crc_len:]
-            got = crc16_remainder_bits(payload)
-            ok = np.all(got == want, axis=2)
-            masked = np.where(ok, pm, np.inf)
-            any_ok = ok.any(axis=1)
-            chosen = np.where(any_ok, np.argmin(masked, axis=1), np.argmin(pm, axis=1))
-            crc_ok = any_ok
-        else:
-            chosen = np.argmin(pm, axis=1)
-            crc_ok = None
-        u_hat = np.zeros((batch, n), dtype=np.int8)
-        u_hat[:, self.info_idx] = info[np.arange(batch), chosen]
-        return u_hat, crc_ok
+            got = crc16_remainder_bits(info[:, :, :-self.crc_len])
+            ok = np.all(got == info[:, :, -self.crc_len:], axis=2)
+            crc_ok = ok.any(axis=1)
+            # The best path passing the CRC, or the best path if none does.
+            pm = np.where(ok | ~crc_ok[:, None], pm, np.inf)
+        return info[np.arange(batch), np.argmin(pm, axis=1)], crc_ok
 
     def _leaf(self, llr: np.ndarray, base: int):
         """Extend every path by input bit ``base`` given its (B, L') LLRs.

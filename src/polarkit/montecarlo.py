@@ -3,6 +3,12 @@
 Runs are deterministic: trials are processed in fixed chunks and every chunk
 draws from a counter-based Philox generator keyed by (seed, chunk index), so
 results are bit-identical regardless of how many workers execute the chunks.
+The draw order is the contract: a chunk of B frames draws its (B, K - crc)
+payload bits, then its (B, N) channel draw (AWGN noise or BEC uniforms).
+A chunk then works in the decoders' (N, B) tree layout, whose row i is
+codeword bit perm[i] (perm the bit-reversal): it encodes there without a
+permutation and gathers the channel draw into it, so the LLRs never pass
+through natural order.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .construction import (bec_bhattacharyya, ga_llr_means, noise_variance,
                            select_information_set)
-from .core import CodeSpec, encode
+from .core import CodeSpec, polar_transform
 from .decoders import CRC16_LEN, SCDecoder, SCLDecoder, crc16_remainder_bits
 from .puncturing import PuncturingPattern
 
@@ -98,48 +104,58 @@ def channel_llrs(x, model: ChannelModel, pattern: PuncturingPattern,
     1/(2 * effective_rate * 10^(ebn0_db/10)), and LLR = 2y/sigma^2.  A +inf
     ebn0_db is the noiseless sentinel (saturated LLRs, no randomness).
     """
-    x = np.asarray(x)
-    signs = 1.0 - 2.0 * x.astype(np.float64)
-    if model.kind == "awgn_bpsk":
-        sigma2 = noise_variance(model.ebn0_db, effective_rate)
-        if sigma2 == 0.0:
-            llr = signs * HARD_LLR
-        else:
-            y = signs + rng.normal(0.0, math.sqrt(sigma2), size=x.shape)
-            llr = 2.0 * y / sigma2
+    return _llrs(np.asarray(x), model, pattern, effective_rate, rng)
+
+
+def _llrs(x, model, pattern, effective_rate, rng, perm=None):
+    """``channel_llrs`` laid out like ``x``: natural with ``perm`` None, else
+    the (N, B) tree layout, into which the natural-shaped draw is gathered."""
+    shape = x.shape if perm is None else x.shape[::-1]
+    arranged = (lambda a: a) if perm is None else (lambda a: a.T[perm])
+    sigma2 = (noise_variance(model.ebn0_db, effective_rate)
+              if model.kind == "awgn_bpsk" else 0.0)
+    if sigma2:  # in place, in the formula's order, so bit-identical to it
+        llr = arranged(rng.normal(0.0, math.sqrt(sigma2), size=shape))
+        llr += 1.0 - np.multiply(x, 2.0, dtype=np.float64)
+        llr *= 2.0
+        llr /= sigma2
     else:
-        llr = signs * HARD_LLR
-        llr[rng.random(x.shape) < model.epsilon] = 0.0
-    llr[..., pattern.zero_based()] = 0.0
+        llr = (1.0 - np.multiply(x, 2.0, dtype=np.float64)) * HARD_LLR
+        if model.kind == "bec":
+            llr[arranged(rng.random(shape)) < model.epsilon] = 0.0
+    punctured = pattern.zero_based()
+    llr[(..., punctured) if perm is None else perm[punctured]] = 0.0
     return llr
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, int]:
+    """Per-information-bit and block errors of one chunk of frames, built and
+    decoded in the tree layout (see the module docstring)."""
     (spec, pattern, info_idx, model, decoder, eff_rate, payload_mode,
      seed, chunk_index, chunk_trials) = args
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    k = info_idx.size
-    data_len = k - decoder.crc_len
+    data_len = info_idx.size - decoder.crc_len
     if payload_mode == "random":
         payload = rng.integers(0, 2, size=(chunk_trials, data_len), dtype=np.int8)
     else:
         payload = np.zeros((chunk_trials, data_len), dtype=np.int8)
-    u = np.zeros((chunk_trials, spec.n_mother), dtype=np.int8)
+    word = payload
     if decoder.crc_len:
         word = np.concatenate([payload, crc16_remainder_bits(payload)], axis=1)
-    else:
-        word = payload
-    u[:, info_idx] = word
 
-    x = encode(u, spec)
-    llr = channel_llrs(x, model, pattern, eff_rate, rng)
     info_set = tuple(int(i) + 1 for i in info_idx)
     if decoder.kind == "sc":
-        u_hat = SCDecoder(spec, info_set).decode(llr)
+        dec = SCDecoder(spec, info_set)
     else:
-        u_hat, _ = SCLDecoder(spec, info_set, list_size=decoder.list_size,
-                              crc_len=decoder.crc_len).decode(llr)
-    diff = u_hat[:, info_idx] != u[:, info_idx]
+        dec = SCLDecoder(spec, info_set, list_size=decoder.list_size,
+                         crc_len=decoder.crc_len)
+    x = np.zeros((spec.n_mother, chunk_trials), dtype=np.int8)
+    x[info_idx] = word.T
+    llr = _llrs(polar_transform(x), model, pattern, eff_rate, rng, dec._perm)
+    if decoder.kind == "sc":
+        diff = (dec._decode_tree(llr)[info_idx] != word.T).T
+    else:
+        diff = dec._decode_tree(llr)[0] != word
     return diff.sum(axis=0, dtype=np.int64), int(diff.any(axis=1).sum())
 
 

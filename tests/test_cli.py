@@ -281,3 +281,34 @@ def test_unwritable_output_is_io_error(tmp_path):
     rc = main(["evaluate", "--pattern", str(pat), "--ebn0", "",
                "--trials", "10", "--out", str(tmp_path / "no_dir" / "x.csv")])
     assert rc == 2
+
+
+_EBN0_COMMANDS = {
+    "pattern": ["pattern", "--method", "qup", "--n", "16", "--k", "8", "--np", "4"],
+    "evaluate": ["evaluate", "--pattern", str(reference_pattern_path("de_n64_k32_np24.json")),
+                 "--trials", "100"],
+    "optimize": ["optimize", "--n", "16", "--k", "8", "--np", "4", "--pop-size", "4",
+                 "--max-iters", "1", "--trials", "100"],
+}
+
+
+@pytest.mark.parametrize("ebn0", ["-inf", "-1e308", "1e308"])
+@pytest.mark.parametrize("command", sorted(_EBN0_COMMANDS))
+def test_snr_without_finite_noise_variance_is_domain_error(tmp_path, capsys, command,
+                                                           ebn0):
+    rc = main(_EBN0_COMMANDS[command] + [f"--ebn0={ebn0}", "--out", str(tmp_path / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "noise variance" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_snr_stays_the_noiseless_sentinel(tmp_path, capsys):
+    out = tmp_path / "inf.csv"
+    assert main(_EBN0_COMMANDS["evaluate"] + ["--ebn0=inf", "--out", str(out)]) == 0
+    assert read_csv(out)[1][:4] == ["inf", "100", "0", "0"]
+    for command in ("pattern", "optimize"):
+        rc = main(_EBN0_COMMANDS[command] + ["--ebn0=inf", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "must be finite for the GA" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
