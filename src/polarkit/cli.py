@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import CodeSpec
 from .evolution import DeConfig, de_optimize
-from .montecarlo import (ChannelModel, DecoderConfig, matched_information_set,
-                         simulate)
+from .montecarlo import (BerReport, ChannelModel, DecoderConfig, SimulationRun,
+                         matched_information_set, run_batch, worker_pool)
 from .puncturing import (PuncturingPattern, load_pattern, qup_pattern,
                          rqup_pattern, save_pattern)
 
@@ -39,14 +39,37 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class CurvePoint:
-    """One SNR point of a BLER/BER sweep."""
+    """One (pattern, SNR) point of a sweep and its tallies so far."""
 
+    label: str
+    pattern: PuncturingPattern
+    info_set: tuple[int, ...]
     ebn0_db: float
-    bler: float
-    ber: float
-    blocks: int
-    block_errors: int
-    bit_errors: int
+    snr_index: int
+    blocks: int = 0
+    block_errors: int = 0
+    bit_errors: int = 0
+    increments: int = 0
+
+    def plan(self, decoder: DecoderConfig, budget: int, seed: int) -> SimulationRun:
+        """The point's next increment: at most ``EVAL_INCREMENT`` frames of
+        the budget left, seeded by (seed, SNR index, increment)."""
+        return SimulationRun.plan(
+            CodeSpec(self.pattern.n_mother, len(self.info_set)), self.pattern,
+            self.info_set, ChannelModel.awgn(self.ebn0_db), decoder=decoder,
+            trials=min(EVAL_INCREMENT, budget - self.blocks),
+            seed=_point_seed(seed, self.snr_index, self.increments))
+
+    def add(self, report: BerReport) -> None:
+        self.blocks += report.trials
+        self.block_errors += report.block_errors
+        self.bit_errors += int(report.per_bit_errors.sum())
+        self.increments += 1
+
+    def row(self, seed: int) -> list:
+        return [self.label, self.ebn0_db, self.blocks, self.block_errors,
+                self.bit_errors, self.block_errors / self.blocks,
+                self.bit_errors / (self.blocks * len(self.info_set)), seed]
 
 
 def _positive_int(text: str) -> int:
@@ -125,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-block-errors", type=_positive_int, default=200,
                        help="stop an SNR point early after this many block errors")
         p.add_argument("--seed", type=_non_negative_int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="processes simulating frames; one pool serves every point")
         p.add_argument("--out", required=True, help="CSV file to write")
 
     return parser
@@ -230,47 +254,50 @@ def _point_seed(base_seed: int, snr_index: int, increment: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _curve_point(spec: CodeSpec, pattern: PuncturingPattern, info_set,
-                 ebn0_db: float, snr_index: int, decoder: DecoderConfig,
-                 budget: int, max_block_errors: int, base_seed: int,
-                 workers: int) -> CurvePoint:
-    blocks = block_errors = bit_errors = 0
-    increment = 0
-    k = len(info_set)
-    while blocks < budget and block_errors < max_block_errors:
-        batch = min(EVAL_INCREMENT, budget - blocks)
-        report = simulate(spec, pattern, info_set, ChannelModel.awgn(ebn0_db),
-                          decoder=decoder, trials=batch,
-                          seed=_point_seed(base_seed, snr_index, increment),
-                          workers=workers)
-        blocks += batch
-        block_errors += report.block_errors
-        bit_errors += int(report.per_bit_errors.sum())
-        increment += 1
-    return CurvePoint(ebn0_db=ebn0_db, bler=block_errors / blocks,
-                      ber=bit_errors / (blocks * k), blocks=blocks,
-                      block_errors=block_errors, bit_errors=bit_errors)
+def _decoder(args) -> DecoderConfig:
+    if args.decoder == "scl":
+        return DecoderConfig("scl", list_size=args.list_size or 8, crc_len=args.crc)
+    if args.crc:
+        raise UsageError("--crc requires --decoder scl")
+    if args.list_size is not None:
+        raise UsageError("--list-size requires --decoder scl")
+    return DecoderConfig("sc")
 
 
-def _sweep(path: str, pattern: PuncturingPattern, info_set, snrs: list[float],
-           args) -> list[CurvePoint]:
-    if info_set is None:
-        raise ValueError(
-            f"pattern file {path!r} lacks an info_set; generate it with "
-            f"'polarkit pattern' or 'polarkit optimize'")
-    spec = CodeSpec(pattern.n_mother, len(info_set))
-    if args.decoder == "sc":
-        if args.crc:
-            raise UsageError("--crc requires --decoder scl")
-        if args.list_size is not None:
-            raise UsageError("--list-size requires --decoder scl")
-        decoder = DecoderConfig("sc")
-    else:
-        decoder = DecoderConfig("scl", list_size=args.list_size or 8,
-                                crc_len=args.crc)
-    return [_curve_point(spec, pattern, info_set, ebn0, snr_index, decoder,
-                         args.trials, args.max_block_errors, args.seed, args.workers)
-            for snr_index, ebn0 in enumerate(snrs)]
+def _sweep(paths: list[str], args) -> list[list]:
+    """Rows, pattern by pattern and labelled by file stem, of the sweep of
+    ``args.ebn0`` over the pattern files ``paths``.
+
+    Every file and every point's first increment is checked before any
+    frame is simulated.  The points then run in rounds on one pool: a round
+    sends the next increment of every point still running to ``run_batch``
+    in one call.  A point leaves once it reaches ``--trials`` or
+    ``--max-block-errors``.  It tallies its own increments in order, so the
+    rows depend neither on the other points nor on ``--workers``.
+    """
+    snrs = _parse_snrs(args.ebn0)
+    loaded = [load_pattern(path)[:2] for path in paths]
+    sizes = {pattern.n_mother for pattern, _ in loaded}
+    if len(sizes) > 1:
+        raise ValueError(f"pattern files disagree on N: {sorted(sizes)}")
+    for path, (_, info_set) in zip(paths, loaded):
+        if info_set is None:
+            raise ValueError(
+                f"pattern file {path!r} lacks an info_set; generate it with "
+                f"'polarkit pattern' or 'polarkit optimize'")
+    decoder = _decoder(args)
+    points = [CurvePoint(Path(path).stem, pattern, info_set, ebn0, snr_index)
+              for path, (pattern, info_set) in zip(paths, loaded)
+              for snr_index, ebn0 in enumerate(snrs)]
+    live, runs = points, [p.plan(decoder, args.trials, args.seed) for p in points]
+    with worker_pool(args.workers) as pool:
+        while live:
+            for point, report in zip(live, run_batch(runs, pool)):
+                point.add(report)
+            live = [p for p in live
+                    if p.blocks < args.trials and p.block_errors < args.max_block_errors]
+            runs = [p.plan(decoder, args.trials, args.seed) for p in live]
+    return [p.row(args.seed) for p in points]
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
@@ -281,11 +308,7 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    snrs = _parse_snrs(args.ebn0)
-    pattern, info_set, _ = load_pattern(args.pattern)
-    points = _sweep(args.pattern, pattern, info_set, snrs, args)
-    rows = [[p.ebn0_db, p.blocks, p.block_errors, p.bit_errors, p.bler, p.ber,
-             args.seed] for p in points]
+    rows = [row[1:] for row in _sweep([args.pattern], args)]
     _write_rows(args.out, CSV_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} SNR points)")
 
@@ -293,18 +316,10 @@ def _cmd_evaluate(args) -> None:
 def _cmd_compare(args) -> None:
     if len(args.patterns) < 2:
         raise ValueError("compare needs at least two pattern files")
-    snrs = _parse_snrs(args.ebn0)
-    loaded = [load_pattern(path)[:2] for path in args.patterns]
-    sizes = {pattern.n_mother for pattern, _ in loaded}
-    if len(sizes) > 1:
-        raise ValueError(f"pattern files disagree on N: {sorted(sizes)}")
-    rows = []
-    for path, (pattern, info_set) in zip(args.patterns, loaded):
-        points = _sweep(path, pattern, info_set, snrs, args)
-        rows.extend([[Path(path).stem, p.ebn0_db, p.blocks, p.block_errors,
-                      p.bit_errors, p.bler, p.ber, args.seed] for p in points])
+    rows = _sweep(args.patterns, args)
     _write_rows(args.out, ["pattern"] + CSV_HEADER, rows)
-    print(f"wrote {args.out} ({len(args.patterns)} patterns x {len(snrs)} SNR points)")
+    print(f"wrote {args.out} ({len(args.patterns)} patterns x "
+          f"{len(rows) // len(args.patterns)} SNR points)")
 
 
 if __name__ == "__main__":

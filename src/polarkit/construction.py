@@ -19,6 +19,10 @@ from .puncturing import PuncturingPattern
 
 BHATTACHARYYA = "bhattacharyya"
 LLR_MEAN = "llr_mean"
+# Largest channel LLR scale 2/sigma^2 (about 3000 dB at rate 1/2): far above
+# any physical SNR, and low enough that no LLR, GA mean or sum of N of them
+# overflows.
+MAX_LLR_SCALE = 1e300
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,8 @@ def _ga_upper(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def noise_variance(ebn0_db: float, effective_rate: float) -> float:
     """BPSK noise variance 1/(2 R 10^(Eb/N0/10)); 0 for the noiseless +inf
-    Eb/N0.  Raises ValueError if the variance is not a finite positive number."""
+    Eb/N0.  Raises ValueError if the variance is not a finite positive number,
+    or so small that the LLR scale 2/sigma^2 exceeds ``MAX_LLR_SCALE``."""
     if not effective_rate > 0:
         raise ValueError(f"effective_rate must be > 0, got {effective_rate}")
     if ebn0_db == math.inf:
@@ -141,6 +146,9 @@ def noise_variance(ebn0_db: float, effective_rate: float) -> float:
         sigma2 = math.nan
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"Eb/N0 {ebn0_db} dB gives no finite positive noise variance")
+    if 2.0 / sigma2 > MAX_LLR_SCALE:
+        raise ValueError(f"Eb/N0 {ebn0_db} dB gives a noise variance too small "
+                         f"for finite LLRs (2/sigma^2 > {MAX_LLR_SCALE:g})")
     return sigma2
 
 

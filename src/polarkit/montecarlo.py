@@ -185,7 +185,8 @@ class SimulationRun:
              trials: int = 10000, seed: int = 0,
              effective_rate: float | None = None, payload: str = "random",
              chunk_size: int = DEFAULT_CHUNK) -> "SimulationRun":
-        """Validate ``simulate``'s arguments (``workers`` aside)."""
+        """Validate ``simulate``'s arguments (``workers`` aside), the AWGN
+        noise variance included."""
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if chunk_size < 1:
@@ -204,6 +205,8 @@ class SimulationRun:
             raise ValueError("information set too small to carry the CRC")
         if effective_rate is None:
             effective_rate = spec.k_info / pattern.n_transmitted
+        if model.kind == "awgn_bpsk":  # a point with no usable noise fails here
+            noise_variance(model.ebn0_db, effective_rate)
         return cls(spec, pattern, info_idx, model, decoder, effective_rate,
                    payload, trials, seed, chunk_size)
 

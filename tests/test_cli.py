@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polarkit import load_pattern, reference_pattern_path
+from polarkit import load_pattern, montecarlo, reference_pattern_path
 from polarkit.cli import main
 
 CSV_HEADER = ["ebn0_db", "blocks", "block_errors", "bit_errors", "bler", "ber", "seed"]
@@ -292,7 +292,7 @@ _EBN0_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("ebn0", ["-inf", "-1e308", "1e308"])
+@pytest.mark.parametrize("ebn0", ["-inf", "-1e308", "1e308", "3080"])
 @pytest.mark.parametrize("command", sorted(_EBN0_COMMANDS))
 def test_snr_without_finite_noise_variance_is_domain_error(tmp_path, capsys, command,
                                                            ebn0):
@@ -301,6 +301,24 @@ def test_snr_without_finite_noise_variance_is_domain_error(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "noise variance" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("ebn0", ["2,nan", "2,-inf"])
+def test_bad_snr_fails_before_any_frame_is_simulated(tmp_path, monkeypatch, ebn0):
+    chunks = []
+    real_chunk = montecarlo._simulate_chunk
+
+    def counting_chunk(job):
+        chunks.append(job)
+        return real_chunk(job)
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", counting_chunk)
+    out = tmp_path / "x.csv"
+    rc = main(_EBN0_COMMANDS["evaluate"] + [f"--ebn0={ebn0}", "--workers", "1",
+                                           "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert chunks == []
 
 
 def test_infinite_snr_stays_the_noiseless_sentinel(tmp_path, capsys):

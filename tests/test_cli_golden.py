@@ -71,9 +71,11 @@ def baselines(tmp_path_factory):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_sweep_rows_match_golden(tmp_path, baselines, case, workers):
+def test_sweep_rows_match_golden(tmp_path, baselines, pools_made, case, workers):
     args, expected = CASES[case]
     out = tmp_path / "rows.csv"
     argv = [arg.format(**baselines) for arg in args]
     assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
     assert out.read_text() == "\n".join(expected) + "\n"
+    # one pool serves every point and increment, even a one-chunk budget
+    assert pools_made == ([workers] if workers > 1 else [])

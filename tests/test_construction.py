@@ -169,7 +169,7 @@ def test_reliability_vector_kind_validation():
 
 def test_noise_variance_is_finite_and_positive_or_the_noiseless_zero():
     assert noise_variance(math.inf, 0.5) == 0.0
-    for ebn0, rate in ((-math.inf, 0.5), (-1e308, 0.5), (1e308, 0.5), (math.nan, 0.5),
-                       (3.0, math.inf)):
+    for ebn0, rate in ((-math.inf, 0.5), (-1e308, 0.5), (1e308, 0.5), (3080.0, 0.5),
+                       (math.nan, 0.5), (3.0, math.inf)):
         with pytest.raises(ValueError, match="noise variance"):
             noise_variance(ebn0, rate)

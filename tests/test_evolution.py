@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -118,20 +117,6 @@ def test_worker_count_does_not_change_result():
     assert seq.pattern == par.pattern
     assert seq.history == par.history
     assert seq.info_set == par.info_set
-
-
-@pytest.fixture
-def pools_made(monkeypatch):
-    """Process counts of every ``multiprocessing.Pool`` constructed."""
-    made = []
-    real_pool = multiprocessing.Pool
-
-    def counting_pool(processes=None, *args, **kwargs):
-        made.append(processes)
-        return real_pool(processes, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    return made
 
 
 @pytest.mark.parametrize("trials,confirm_trials", [(5000, 3000), (20000, 10000)])
