@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="search for a puncturing pattern")
     p_opt.add_argument("--n", type=int, required=True, help="mother code length N")
     p_opt.add_argument("--k", type=int, required=True, help="information bits K")
-    p_opt.add_argument("--np", dest="n_p", type=int, required=True,
+    p_opt.add_argument("--np", dest="n_p", type=_positive_int, required=True,
                        help="number of punctured bits")
     p_opt.add_argument("--ebn0", type=float, required=True,
                        help="design Eb/N0 in dB for the search")

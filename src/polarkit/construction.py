@@ -88,6 +88,9 @@ def bec_bhattacharyya(spec: CodeSpec, epsilon: float,
 # ---------------------------------------------------------------------------
 
 _PHI_SPLIT = 10.0
+# Bisection in ga_phi_inv stops once the bracket is this narrow relative to
+# max(x, 1).
+_PHI_INV_REL_TOL = 1e-9
 
 
 def ga_phi(x: float) -> float:
@@ -100,7 +103,7 @@ def ga_phi(x: float) -> float:
     return math.sqrt(math.pi / x) * math.exp(-x / 4.0) * (1.0 - 10.0 / (7.0 * x))
 
 
-def ga_phi_inv(y: float, rel_tol: float = 1e-9) -> float:
+def ga_phi_inv(y: float) -> float:
     """Numerical inverse of ga_phi on (0, 1] by bisection."""
     if y >= 1.0:
         return 0.0
@@ -117,7 +120,7 @@ def ga_phi_inv(y: float, rel_tol: float = 1e-9) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(hi, 1.0):
+        if hi - lo <= _PHI_INV_REL_TOL * max(hi, 1.0):
             break
     return 0.5 * (lo + hi)
 

@@ -99,10 +99,11 @@ class SCDecoder:
     def __init__(self, spec: CodeSpec, info_set):
         self.spec = spec
         self.info_mask = _info_mask(spec, info_set)
+        self.info_idx = np.flatnonzero(self.info_mask)
         # _info_count[i] is the number of information positions below i.
         self._info_count = np.concatenate([[0], np.cumsum(self.info_mask)])
         self._perm = bit_reversal_permutation(spec.m)
-        self._u = None
+        self._info = None
 
     def _rate0(self, base: int, width: int) -> bool:
         return self._info_count[base + width] == self._info_count[base]
@@ -117,14 +118,21 @@ class SCDecoder:
 
     def decode(self, llrs: np.ndarray) -> np.ndarray:
         """Decode a (B, N) batch of channel LLR vectors to (B, N) input bits."""
-        return np.ascontiguousarray(self._decode_tree(self._tree_llrs(llrs)).T)
+        return self._input_bits(self._decode_tree(self._tree_llrs(llrs))[0])
 
-    def _decode_tree(self, llr: np.ndarray) -> np.ndarray:
-        """Decode the tree's (N, B) channel LLRs to (N, B) input bits."""
-        self._u = np.zeros(llr.shape, dtype=np.int8)
+    def _input_bits(self, info: np.ndarray) -> np.ndarray:
+        """(K, B) information bits as (B, N) input bits, frozen positions 0."""
+        u_hat = np.zeros((info.shape[1], self.spec.n_mother), dtype=np.int8)
+        u_hat[:, self.info_idx] = info.T
+        return u_hat
+
+    def _decode_tree(self, llr: np.ndarray):
+        """Decode the tree's (N, B) channel LLRs; returns the (K, B)
+        information bits and crc_ok, which is None (SC checks no CRC)."""
+        self._info = np.zeros((self.info_idx.size, llr.shape[1]), dtype=np.int8)
         if not self._rate0(0, llr.shape[0]):
             self._recurse(llr, 0)
-        return self._u
+        return self._info, None
 
     def _recurse(self, llr: np.ndarray, base: int):
         """Decode the subtree at ``base`` from its (width, B, ...) LLRs.
@@ -162,7 +170,7 @@ class SCDecoder:
     def _leaf(self, llr: np.ndarray, base: int):
         """Decide information bit ``base`` from its (B,) LLRs."""
         bits = (llr < 0).astype(np.int8)
-        self._u[base] = bits
+        self._info[self._info_count[base]] = bits
         return bits[None], None
 
 
@@ -203,7 +211,6 @@ class SCLDecoder(SCDecoder):
         if crc_len not in (0, CRC16_LEN):
             raise ValueError(f"crc_len must be 0 or {CRC16_LEN}, got {crc_len}")
         super().__init__(spec, info_set)
-        self.info_idx = np.flatnonzero(self.info_mask)
         if crc_len and crc_len >= self.info_idx.size:
             raise ValueError("information set too small to carry the CRC")
         self.list_size = list_size
@@ -214,15 +221,12 @@ class SCLDecoder(SCDecoder):
 
     def decode(self, llrs: np.ndarray):
         """Decode a (B, N) batch; returns (u_hat (B, N), crc_ok (B,) or None)."""
-        llr = self._tree_llrs(llrs)
-        info, crc_ok = self._decode_tree(llr)
-        u_hat = np.zeros(llr.shape[::-1], dtype=np.int8)
-        u_hat[:, self.info_idx] = info
-        return u_hat, crc_ok
+        info, crc_ok = self._decode_tree(self._tree_llrs(llrs))
+        return self._input_bits(info), crc_ok
 
     def _decode_tree(self, llr: np.ndarray):
         """Decode the tree's (N, B) channel LLRs; returns the chosen path's
-        (B, K) information bits and crc_ok (B,) or None."""
+        (K, B) information bits and crc_ok (B,) or None."""
         batch = llr.shape[1]
         self._pm = np.full((batch, self.list_size), np.inf)
         self._pm[:, 0] = 0.0
@@ -232,12 +236,13 @@ class SCLDecoder(SCDecoder):
 
         info, pm, crc_ok = self._backtrack(), self._pm, None
         if self.crc_len:
-            got = crc16_remainder_bits(info[:, :, :-self.crc_len])
-            ok = np.all(got == info[:, :, -self.crc_len:], axis=2)
+            words = np.moveaxis(info, 0, -1)  # (B, L, K)
+            got = crc16_remainder_bits(words[:, :, :-self.crc_len])
+            ok = np.all(got == words[:, :, -self.crc_len:], axis=2)
             crc_ok = ok.any(axis=1)
             # The best path passing the CRC, or the best path if none does.
             pm = np.where(ok | ~crc_ok[:, None], pm, np.inf)
-        return info[np.arange(batch), np.argmin(pm, axis=1)], crc_ok
+        return info[:, np.arange(batch), np.argmin(pm, axis=1)], crc_ok
 
     def _leaf(self, llr: np.ndarray, base: int):
         """Extend every path by input bit ``base`` given its (B, L') LLRs.
@@ -261,11 +266,7 @@ class SCLDecoder(SCDecoder):
         return bits[None], src
 
     def _backtrack(self) -> np.ndarray:
-        """The (B, L, K) information bits of the final list, from the trail.
-
-        The bit axis is outermost in memory, so the CRC's per-bit slices are
-        contiguous.
-        """
+        """The (K, B, L) information bits of the final list, from the trail."""
         batch, lsz = self._pm.shape
         info = np.empty((len(self._trail), batch, lsz), dtype=np.int8)
         path = np.broadcast_to(np.arange(lsz), (batch, lsz))
@@ -273,7 +274,7 @@ class SCLDecoder(SCDecoder):
             bits, src = self._trail[k]
             info[k] = np.take_along_axis(bits, path, axis=1)
             path = np.take_along_axis(src, path, axis=1)
-        return info.transpose(1, 2, 0)
+        return info
 
 
 def _charge(pm: np.ndarray, pen: np.ndarray) -> np.ndarray:

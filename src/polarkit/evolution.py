@@ -71,8 +71,8 @@ class DeConfig:
             raise ValueError(f"crossover must lie in [0, 1], got {self.crossover}")
         if self.scale <= 0.0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
-        if self.max_iters < 1 or self.trials < 1:
-            raise ValueError("max_iters and trials must be >= 1")
+        if self.max_iters < 1 or self.trials < 1 or self.stall_generations < 1:
+            raise ValueError("max_iters, trials and stall_generations must be >= 1")
         if self.seed_policy not in ("per-generation", "fixed"):
             raise ValueError("seed_policy must be 'per-generation' or 'fixed'")
         if self.workers < 1:
@@ -184,16 +184,13 @@ def init_population(spec: CodeSpec, n_p: int, config: DeConfig,
                     evaluator: _Evaluator | None = None) -> Population:
     """Population of pop_size x D genes i.i.d. uniform on [0, 1], with the
     objective of every row already evaluated (generation-0 seed).  Without an
-    ``evaluator`` it evaluates on a pool of its own when ``config.workers`` > 1."""
+    ``evaluator`` the rows are evaluated in this process, whatever
+    ``config.workers`` is."""
     dim = search_dimension(spec, config)
-    if n_p > dim:
-        raise ValueError(f"n_p={n_p} exceeds search dimension D={dim}")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
     if evaluator is None:
-        with worker_pool(config.workers) as pool:
-            return init_population(spec, n_p, config, rng,
-                                   _Evaluator(spec, config, pool))
+        evaluator = _Evaluator(spec, config, None)
     genes = rng.random((config.pop_size, dim))
     patterns = [vector_to_pattern(row, n_p, spec, reduced=config.reduced_space)
                 for row in genes]
@@ -214,6 +211,9 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     ``config.workers``.  With ``config.workers`` > 1 one pool serves the whole
     search and the confirmation run.
     """
+    dim = search_dimension(spec, config)
+    if not 1 <= n_p <= dim:  # before any pool is opened
+        raise ValueError(f"n_p={n_p} must lie in [1, D={dim}]")
     rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
     with worker_pool(config.workers) as pool:
         evaluator = _Evaluator(spec, config, pool)

@@ -4,11 +4,11 @@ Runs are deterministic: trials are processed in fixed chunks and every chunk
 draws from a counter-based Philox generator keyed by (seed, chunk index), so
 results are bit-identical regardless of how many workers execute the chunks.
 The draw order is the contract: a chunk of B frames draws its (B, K - crc)
-payload bits, then its (B, N) channel draw (AWGN noise or BEC uniforms).
-A chunk then works in the decoders' (N, B) tree layout, whose row i is
-codeword bit perm[i] (perm the bit-reversal): it encodes there without a
-permutation and gathers the channel draw into it, so the LLRs never pass
-through natural order.
+random payload bits, then its (B, N) channel draw (AWGN noise or BEC
+uniforms).  A chunk then works in the decoders' (N, B) tree layout, whose
+row i is codeword bit perm[i] (perm the bit-reversal): it encodes there
+without a permutation, gathers the channel draw into it, and decodes to
+(K, B) information bits there, so nothing passes through natural order.
 """
 
 from __future__ import annotations
@@ -104,44 +104,43 @@ def channel_llrs(x, model: ChannelModel, pattern: PuncturingPattern,
     1/(2 * effective_rate * 10^(ebn0_db/10)), and LLR = 2y/sigma^2.  A +inf
     ebn0_db is the noiseless sentinel (saturated LLRs, no randomness).
     """
-    return _llrs(np.asarray(x), model, pattern, effective_rate, rng)
+    x = np.asarray(x)
+    n = x.shape[-1]
+    llr = _llrs(x.reshape(-1, n).T, model, pattern, effective_rate, rng,
+                np.arange(n))
+    return llr.T.reshape(x.shape)
 
 
-def _llrs(x, model, pattern, effective_rate, rng, perm=None):
-    """``channel_llrs`` laid out like ``x``: natural with ``perm`` None, else
-    the (N, B) tree layout, into which the natural-shaped draw is gathered."""
-    shape = x.shape if perm is None else x.shape[::-1]
-    arranged = (lambda a: a) if perm is None else (lambda a: a.T[perm])
+def _llrs(x, model, pattern, effective_rate, rng, perm):
+    """Channel LLRs of the (N, B) codeword bits ``x`` whose row i is codeword
+    bit perm[i] (perm an involution): the (B, N) channel draw is gathered
+    into that layout."""
+    shape = x.shape[::-1]
     sigma2 = (noise_variance(model.ebn0_db, effective_rate)
               if model.kind == "awgn_bpsk" else 0.0)
     if sigma2:  # in place, in the formula's order, so bit-identical to it
-        llr = arranged(rng.normal(0.0, math.sqrt(sigma2), size=shape))
+        llr = rng.normal(0.0, math.sqrt(sigma2), size=shape).T[perm]
         llr += 1.0 - np.multiply(x, 2.0, dtype=np.float64)
         llr *= 2.0
         llr /= sigma2
     else:
         llr = (1.0 - np.multiply(x, 2.0, dtype=np.float64)) * HARD_LLR
         if model.kind == "bec":
-            llr[arranged(rng.random(shape)) < model.epsilon] = 0.0
-    punctured = pattern.zero_based()
-    llr[(..., punctured) if perm is None else perm[punctured]] = 0.0
+            llr[rng.random(shape).T[perm] < model.epsilon] = 0.0
+    llr[perm[pattern.zero_based()]] = 0.0
     return llr
 
 
-def _simulate_chunk(args) -> tuple[np.ndarray, int]:
+def _simulate_chunk(job) -> tuple[np.ndarray, int]:
     """Per-information-bit and block errors of one chunk of frames, built and
     decoded in the tree layout (see the module docstring)."""
-    (spec, pattern, info_idx, model, decoder, eff_rate, payload_mode,
-     seed, chunk_index, chunk_trials) = args
-    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    data_len = info_idx.size - decoder.crc_len
-    if payload_mode == "random":
-        payload = rng.integers(0, 2, size=(chunk_trials, data_len), dtype=np.int8)
-    else:
-        payload = np.zeros((chunk_trials, data_len), dtype=np.int8)
-    word = payload
+    run, chunk_index, chunk_trials = job
+    spec, info_idx, decoder = run.spec, run.info_idx, run.decoder
+    rng = np.random.Generator(np.random.Philox(key=[run.seed, chunk_index]))
+    word = rng.integers(0, 2, size=(chunk_trials, info_idx.size - decoder.crc_len),
+                        dtype=np.int8)
     if decoder.crc_len:
-        word = np.concatenate([payload, crc16_remainder_bits(payload)], axis=1)
+        word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
 
     info_set = tuple(int(i) + 1 for i in info_idx)
     if decoder.kind == "sc":
@@ -151,12 +150,10 @@ def _simulate_chunk(args) -> tuple[np.ndarray, int]:
                          crc_len=decoder.crc_len)
     x = np.zeros((spec.n_mother, chunk_trials), dtype=np.int8)
     x[info_idx] = word.T
-    llr = _llrs(polar_transform(x), model, pattern, eff_rate, rng, dec._perm)
-    if decoder.kind == "sc":
-        diff = (dec._decode_tree(llr)[info_idx] != word.T).T
-    else:
-        diff = dec._decode_tree(llr)[0] != word
-    return diff.sum(axis=0, dtype=np.int64), int(diff.any(axis=1).sum())
+    llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
+                rng, dec._perm)
+    diff = dec._decode_tree(llr)[0] != word.T
+    return diff.sum(axis=1, dtype=np.int64), int(diff.any(axis=0).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +171,6 @@ class SimulationRun:
     model: ChannelModel
     decoder: DecoderConfig
     effective_rate: float
-    payload: str
     trials: int
     seed: int
     chunk_size: int
@@ -183,7 +179,7 @@ class SimulationRun:
     def plan(cls, spec: CodeSpec, pattern: PuncturingPattern, info_set,
              model: ChannelModel, decoder: DecoderConfig = DecoderConfig(),
              trials: int = 10000, seed: int = 0,
-             effective_rate: float | None = None, payload: str = "random",
+             effective_rate: float | None = None,
              chunk_size: int = DEFAULT_CHUNK) -> "SimulationRun":
         """Validate ``simulate``'s arguments (``workers`` aside), the AWGN
         noise variance included."""
@@ -191,8 +187,6 @@ class SimulationRun:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if payload not in ("random", "zero"):
-            raise ValueError(f"payload must be 'random' or 'zero', got {payload!r}")
         if pattern.n_mother != spec.n_mother:
             raise ValueError(f"pattern is for N={pattern.n_mother}, "
                              f"code has N={spec.n_mother}")
@@ -208,16 +202,15 @@ class SimulationRun:
         if model.kind == "awgn_bpsk":  # a point with no usable noise fails here
             noise_variance(model.ebn0_db, effective_rate)
         return cls(spec, pattern, info_idx, model, decoder, effective_rate,
-                   payload, trials, seed, chunk_size)
+                   trials, seed, chunk_size)
 
     def jobs(self) -> list[tuple]:
-        """Arguments of ``_simulate_chunk`` for each chunk, in chunk order."""
+        """``_simulate_chunk``'s (run, chunk index, chunk trials) for each
+        chunk, in chunk order."""
         sizes = [self.chunk_size] * (self.trials // self.chunk_size)
         if self.trials % self.chunk_size:
             sizes.append(self.trials % self.chunk_size)
-        return [(self.spec, self.pattern, self.info_idx, self.model, self.decoder,
-                 self.effective_rate, self.payload, self.seed, ci, sz)
-                for ci, sz in enumerate(sizes)]
+        return [(self, ci, sz) for ci, sz in enumerate(sizes)]
 
     def tally(self, results) -> BerReport:
         """Sum the chunk results of ``jobs()`` into the run's report."""
@@ -274,14 +267,13 @@ def run_batch(runs: list[SimulationRun], pool=None) -> list[BerReport]:
 def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: ChannelModel,
              decoder: DecoderConfig = DecoderConfig(), trials: int = 10000,
              seed: int = 0, effective_rate: float | None = None,
-             payload: str = "random", chunk_size: int = DEFAULT_CHUNK,
-             workers: int = 1) -> BerReport:
+             chunk_size: int = DEFAULT_CHUNK, workers: int = 1) -> BerReport:
     """Monte Carlo estimate of per-bit BER, BLER, and the scalar objective.
 
-    Each trial draws a payload (uniform by default), encodes, passes the
-    codeword through the channel with punctured LLRs zeroed, decodes, and
-    tallies per-information-bit and block errors.  Given identical arguments
-    the report is bit-for-bit reproducible, independent of ``workers``.
+    Each trial draws a uniform payload, encodes, passes the codeword through
+    the channel with punctured LLRs zeroed, decodes, and tallies
+    per-information-bit and block errors.  Given identical arguments the
+    report is bit-for-bit reproducible, independent of ``workers``.
 
     Trials run in chunks of ``chunk_size``.  With ``workers`` > 1 and more
     than one chunk, the call opens its own pool of that many processes and
@@ -291,8 +283,7 @@ def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: Channe
         raise ValueError(f"workers must be >= 1, got {workers}")
     run = SimulationRun.plan(spec, pattern, info_set, model, decoder=decoder,
                              trials=trials, seed=seed,
-                             effective_rate=effective_rate, payload=payload,
-                             chunk_size=chunk_size)
+                             effective_rate=effective_rate, chunk_size=chunk_size)
     with worker_pool(workers if trials > chunk_size else 1) as pool:
         return run_batch([run], pool)[0]
 

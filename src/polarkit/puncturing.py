@@ -119,8 +119,8 @@ def vector_to_pattern(candidate, n_p: int, spec: CodeSpec,
         raise ValueError(
             f"candidate length {candidate.size} does not match D={want} "
             f"({'reduced' if reduced else 'full'} space, N={spec.n_mother})")
-    if n_p > candidate.size:
-        raise ValueError(f"n_p={n_p} exceeds candidate dimension {candidate.size}")
+    if not 1 <= n_p <= candidate.size:
+        raise ValueError(f"n_p={n_p} must lie in [1, D={candidate.size}]")
     cols = np.argsort(-candidate, kind="stable")[:n_p] + 1
     bits = 2 * cols - 1 if reduced else cols
     return PuncturingPattern(spec.n_mother, tuple(int(b) for b in bits))

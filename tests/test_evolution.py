@@ -29,7 +29,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("bad", [dict(workers=0), dict(workers=-3),
-                                 dict(confirm_trials=0), dict(confirm_trials=-5)])
+                                 dict(confirm_trials=0), dict(confirm_trials=-5),
+                                 dict(stall_generations=0)])
 def test_config_rejects_non_positive_workers_and_confirm_trials(bad):
     with pytest.raises(ValueError):
         DeConfig(pop_size=8, **bad)
@@ -61,6 +62,13 @@ def test_init_population_deterministic():
 def test_init_population_np_too_large():
     with pytest.raises(ValueError):
         init_population(SPEC8, 4, small_config())  # reduced space has D=3
+
+
+@pytest.mark.parametrize("n_p", [0, 4])
+def test_search_rejects_n_p_outside_dimension_before_opening_a_pool(pools_made, n_p):
+    with pytest.raises(ValueError, match="n_p"):
+        de_optimize(SPEC8, n_p, small_config(workers=2))  # reduced space has D=3
+    assert pools_made == []
 
 
 def _constant_rows(values, dim=6):

@@ -125,16 +125,6 @@ def test_simulate_noiseless_perfect():
     assert rep.bler == 0.0
 
 
-def test_simulate_zero_payload_mode():
-    spec = CodeSpec(8, 4)
-    rep = simulate(spec, PuncturingPattern(8, ()), (4, 6, 7, 8),
-                   ChannelModel.awgn(math.inf), trials=500, seed=0, payload="zero")
-    assert rep.bler == 0.0
-    with pytest.raises(ValueError):
-        simulate(spec, PuncturingPattern(8, ()), (4, 6, 7, 8),
-                 ChannelModel.awgn(1.0), trials=10, seed=0, payload="ones")
-
-
 def test_simulate_validation():
     spec = CodeSpec(8, 4)
     with pytest.raises(ValueError):
@@ -213,15 +203,14 @@ def test_objective_unpunctured_high_snr_near_zero():
 # ---------------------------------------------------------------------------
 
 def _oracle_chunk(job):
-    (spec, pattern, info_idx, model, decoder, eff_rate, payload_mode,
-     seed, chunk_index, chunk_trials) = job
-    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    run, chunk_index, chunk_trials = job
+    spec, pattern, info_idx, model, decoder, eff_rate = (
+        run.spec, run.pattern, run.info_idx, run.model, run.decoder,
+        run.effective_rate)
+    rng = np.random.Generator(np.random.Philox(key=[run.seed, chunk_index]))
     n = spec.n_mother
     data_len = info_idx.size - decoder.crc_len
-    if payload_mode == "random":
-        payload = rng.integers(0, 2, size=(chunk_trials, data_len), dtype=np.int8)
-    else:
-        payload = np.zeros((chunk_trials, data_len), dtype=np.int8)
+    payload = rng.integers(0, 2, size=(chunk_trials, data_len), dtype=np.int8)
     word = payload
     if decoder.crc_len:
         word = np.concatenate([payload, crc16_remainder_bits(payload)], axis=1)
@@ -258,7 +247,7 @@ _CHUNK_CASES = [
     (2, 1, 1, "qup", ChannelModel.awgn(1.0), _SC, "random", 45, 16),
     (4, 2, 1, "random", ChannelModel.bec(0.3), _SC, "random", 45, 16),
     (8, 4, 2, "qup", ChannelModel.awgn(math.inf), _SC, "random", 45, 16),
-    (16, 8, 5, "random", ChannelModel.awgn(1.0), _SC, "zero", 300, 128),
+    (16, 8, 5, "random", ChannelModel.awgn(1.0), _SC, "random", 300, 128),
     (32, 24, 8, "qup", ChannelModel.awgn(4.0),
      DecoderConfig("scl", list_size=4, crc_len=16), "random", 300, 128),
     (64, 32, 24, "random", ChannelModel.awgn(1.0),
@@ -270,7 +259,7 @@ _CHUNK_CASES = [
     (128, 64, 28, "qup", ChannelModel.awgn(1.0), _SC, "random", 200, 96),
     (256, 128, 0, "qup", ChannelModel.awgn(1.0), _SC, "random", 200, 96),
     (512, 256, 100, "random", ChannelModel.bec(0.3), _SC, "random", 100, 48),
-    (512, 256, 100, "qup", ChannelModel.awgn(math.inf), _SC, "zero", 100, 48),
+    (512, 256, 100, "qup", ChannelModel.awgn(math.inf), _SC, "random", 100, 48),
     (1024, 512, 224, "qup", ChannelModel.awgn(1.0), _SC, "random", 100, 48),
     (1024, 512, 224, "random", ChannelModel.awgn(4.0), _SC, "random", 100, 48),
 ]
@@ -280,7 +269,7 @@ _CHUNK_CASES = [
                          f"{c[4].kind}{c[4].ebn0_db if c[4].kind != 'bec' else c[4].epsilon}-"
                          f"{c[5].kind}{c[5].list_size}crc{c[5].crc_len}-{c[6]}")
 def test_chunk_matches_independent_oracle(case):
-    n, k, n_p, kind, model, decoder, payload, trials, chunk = case
+    n, k, n_p, kind, model, decoder, _, trials, chunk = case
     spec = CodeSpec(n, k)
     rng = np.random.default_rng(n + n_p)
     if n_p == 0:
@@ -292,8 +281,7 @@ def test_chunk_matches_independent_oracle(case):
             sorted(int(i) + 1 for i in rng.choice(n, n_p, replace=False))))
     info = tuple(sorted(int(i) + 1 for i in rng.choice(n, k, replace=False)))
     run = SimulationRun.plan(spec, pattern, info, model, decoder=decoder,
-                             trials=trials, seed=n * 7 + 1, payload=payload,
-                             chunk_size=chunk)
+                             trials=trials, seed=n * 7 + 1, chunk_size=chunk)
     jobs = run.jobs()
     assert jobs[-1][-1] < chunk  # the last chunk is a short one
     results = [_simulate_chunk(job) for job in jobs]
@@ -314,22 +302,25 @@ def test_channel_llrs_keep_natural_order_and_zero_punctured(model):
     n, rate = 16, 0.6
     pattern = PuncturingPattern(n, (2, 7, 11))
     punctured = pattern.zero_based()
-    x = np.random.default_rng(4).integers(0, 2, size=(40, n), dtype=np.int8)
-    before = x.copy()
-    llr = channel_llrs(x, model, pattern, rate, np.random.default_rng(5))
+    for shape in [(n,), (40, n), (3, 5, n)]:
+        x = np.random.default_rng(4).integers(0, 2, size=shape, dtype=np.int8)
+        before = x.copy()
+        llr = channel_llrs(x, model, pattern, rate, np.random.default_rng(5))
 
-    rng = np.random.default_rng(5)
-    signs = 1.0 - 2.0 * x
-    if model.kind == "bec":
-        want = signs * 1e4
-        want[rng.random(x.shape) < model.epsilon] = 0.0
-    elif math.isinf(model.ebn0_db):
-        want = signs * 1e4
-    else:
-        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (model.ebn0_db / 10.0))
-        want = 2.0 * (signs + rng.normal(0.0, math.sqrt(sigma2), size=x.shape)) / sigma2
-    want[:, punctured] = 0.0
-    assert llr.dtype == np.float64 and llr.shape == x.shape
-    assert np.array_equal(llr, want)
-    assert np.all(llr[:, punctured] == 0.0) and not np.signbit(llr[:, punctured]).any()
-    assert np.array_equal(x, before)
+        rng = np.random.default_rng(5)
+        signs = 1.0 - 2.0 * x
+        if model.kind == "bec":
+            want = signs * 1e4
+            want[rng.random(x.shape) < model.epsilon] = 0.0
+        elif math.isinf(model.ebn0_db):
+            want = signs * 1e4
+        else:
+            sigma2 = 1.0 / (2.0 * rate * 10.0 ** (model.ebn0_db / 10.0))
+            noise = rng.normal(0.0, math.sqrt(sigma2), size=x.shape)
+            want = 2.0 * (signs + noise) / sigma2
+        want[..., punctured] = 0.0
+        assert llr.dtype == np.float64 and llr.shape == x.shape
+        assert np.array_equal(llr, want)
+        assert np.all(llr[..., punctured] == 0.0)
+        assert not np.signbit(llr[..., punctured]).any()
+        assert np.array_equal(x, before)

@@ -128,6 +128,9 @@ def test_vector_to_pattern_validation():
         vector_to_pattern(np.zeros(4), 2, spec, reduced=True)  # D must be 3
     with pytest.raises(ValueError):
         vector_to_pattern(np.zeros(3), 4, spec, reduced=True)  # n_p > D
+    for n_p in (-1, 0):
+        with pytest.raises(ValueError):
+            vector_to_pattern(np.zeros(3), n_p, spec, reduced=True)
 
 
 @settings(max_examples=60, deadline=None)
