@@ -88,3 +88,32 @@ def test_de_optimize_matches_golden(name, workers):
                evaluations=result.evaluations, best_objective=result.best_objective,
                confirmed_objective=result.confirmed_objective)
     assert got == expected
+
+
+# name -> full text of the JSON-lines run log: one record per generation,
+# generation 0 included, with the population's best objective and pattern.
+LOGS = {
+    "fresh-in_place-5000": (
+        '{"generation": 0, "best_objective": 0.19440000000000002, "best_pattern": [1, 3, 9, 13]}\n'
+        '{"generation": 1, "best_objective": 0.1966, "best_pattern": [1, 5, 9, 11]}\n'
+        '{"generation": 2, "best_objective": 0.1672, "best_pattern": [1, 3, 5, 9]}\n'
+        '{"generation": 3, "best_objective": 0.1726, "best_pattern": [1, 3, 5, 9]}\n'),
+    # stops on stall at generation 5
+    "fixed-5000": (
+        '{"generation": 0, "best_objective": 0.19440000000000002, "best_pattern": [1, 3, 9, 13]}\n'
+        '{"generation": 1, "best_objective": 0.19440000000000002, "best_pattern": [1, 3, 9, 13]}\n'
+        '{"generation": 2, "best_objective": 0.1624, "best_pattern": [1, 3, 5, 9]}\n'
+        '{"generation": 3, "best_objective": 0.1624, "best_pattern": [1, 3, 5, 9]}\n'
+        '{"generation": 4, "best_objective": 0.1624, "best_pattern": [1, 3, 5, 9]}\n'
+        '{"generation": 5, "best_objective": 0.1624, "best_pattern": [1, 3, 5, 9]}\n'),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(LOGS))
+def test_de_optimize_log_matches_golden(tmp_path, name, workers):
+    (n, k, n_p), overrides, _ = CASES[name]
+    config = DeConfig(**{**BASE, **overrides, "workers": workers})
+    log = tmp_path / "run.log"
+    de_optimize(CodeSpec(n, k), n_p, config, log_path=log)
+    assert log.read_text() == LOGS[name]
