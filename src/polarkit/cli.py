@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .core import CodeSpec
 from .evolution import DeConfig, de_optimize
 from .montecarlo import (BerReport, ChannelModel, DecoderConfig, SimulationRun,
-                         matched_information_set, run_batch, worker_pool)
+                         derive_seed, matched_information_set, run_batch,
+                         worker_pool)
 from .puncturing import (PuncturingPattern, load_pattern, qup_pattern,
                          rqup_pattern, save_pattern)
 
@@ -58,7 +58,7 @@ class CurvePoint:
             CodeSpec(self.pattern.n_mother, len(self.info_set)), self.pattern,
             self.info_set, ChannelModel.awgn(self.ebn0_db), decoder=decoder,
             trials=min(EVAL_INCREMENT, budget - self.blocks),
-            seed=_point_seed(seed, self.snr_index, self.increments))
+            seed=derive_seed(seed, "sweep", self.snr_index, self.increments))
 
     def add(self, report: BerReport) -> None:
         self.blocks += report.trials
@@ -72,18 +72,18 @@ class CurvePoint:
                 self.bit_errors / (self.blocks * len(self.info_set)), seed]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type: an int of at least ``low``."""
+    def at_least(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return at_least
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+# optimize's defaults are the search's own
+_DE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DeConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,26 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="search for a puncturing pattern")
     p_opt.add_argument("--n", type=int, required=True, help="mother code length N")
     p_opt.add_argument("--k", type=int, required=True, help="information bits K")
-    p_opt.add_argument("--np", dest="n_p", type=_positive_int, required=True,
+    p_opt.add_argument("--np", dest="n_p", type=_at_least(1), required=True,
                        help="number of punctured bits")
     p_opt.add_argument("--ebn0", type=float, required=True,
                        help="design Eb/N0 in dB for the search")
-    p_opt.add_argument("--pop-size", type=int, default=50)
-    p_opt.add_argument("--cr", type=float, default=0.8, help="crossover rate")
-    p_opt.add_argument("--f", type=float, default=0.6, help="mutation scale factor")
-    p_opt.add_argument("--max-iters", type=int, default=50)
-    p_opt.add_argument("--trials", type=int, default=20000,
+    p_opt.add_argument("--pop-size", type=_at_least(4), default=50,
+                       help="population size, at least 4")
+    p_opt.add_argument("--cr", type=float, default=_DE_DEFAULTS["crossover"],
+                       help="crossover rate")
+    p_opt.add_argument("--f", type=float, default=_DE_DEFAULTS["scale"],
+                       help="mutation scale factor")
+    p_opt.add_argument("--max-iters", type=_at_least(1),
+                       default=_DE_DEFAULTS["max_iters"])
+    p_opt.add_argument("--trials", type=_at_least(1), default=_DE_DEFAULTS["trials"],
                        help="Monte Carlo trials per objective evaluation")
-    p_opt.add_argument("--confirm-trials", type=_non_negative_int, default=1000000,
+    p_opt.add_argument("--confirm-trials", type=_at_least(0),
+                       default=_DE_DEFAULTS["confirm_trials"],
                        help="trials for the final confirmation pass (0 disables)")
-    p_opt.add_argument("--seed", type=_non_negative_int, default=0)
+    p_opt.add_argument("--seed", type=_at_least(0), default=0)
     p_opt.add_argument("--full-space", action="store_true",
                        help="search over all N coded bits instead of the reduced space")
     p_opt.add_argument("--in-place", action="store_true",
                        help="apply replacements row by row within a generation")
     p_opt.add_argument("--fresh-incumbents", action="store_true",
                        help="re-evaluate incumbents under each generation's seed")
-    p_opt.add_argument("--workers", type=_positive_int, default=1,
+    p_opt.add_argument("--workers", type=_at_least(1), default=1,
                        help="processes evaluating Monte Carlo chunks; one pool "
                             "serves the whole search")
     p_opt.add_argument("--out", required=True, help="pattern file to write")
@@ -140,15 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ebn0", required=True,
                        help="comma-separated Eb/N0 sweep in dB, e.g. '6,7,8'")
         p.add_argument("--decoder", choices=["sc", "scl"], default="sc")
-        p.add_argument("--list-size", type=_positive_int, default=None,
+        p.add_argument("--list-size", type=_at_least(1), default=None,
                        help="paths kept by --decoder scl (default 8)")
         p.add_argument("--crc", type=int, default=0, choices=[0, 16])
-        p.add_argument("--trials", type=_positive_int, default=100000,
+        p.add_argument("--trials", type=_at_least(1), default=100000,
                        help="block budget per SNR point")
-        p.add_argument("--max-block-errors", type=_positive_int, default=200,
+        p.add_argument("--max-block-errors", type=_at_least(1), default=200,
                        help="stop an SNR point early after this many block errors")
-        p.add_argument("--seed", type=_non_negative_int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=1,
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--workers", type=_at_least(1), default=1,
                        help="processes simulating frames; one pool serves every point")
         p.add_argument("--out", required=True, help="CSV file to write")
 
@@ -247,11 +252,6 @@ def _parse_snrs(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"--ebn0 expects comma-separated numbers: {exc}") from exc
-
-
-def _point_seed(base_seed: int, snr_index: int, increment: int) -> int:
-    ss = np.random.SeedSequence((base_seed, 3, snr_index, increment))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _decoder(args) -> DecoderConfig:

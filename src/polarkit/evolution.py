@@ -10,13 +10,14 @@ crossover with greedy selection drive the population.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CodeSpec
-from .montecarlo import (ChannelModel, DecoderConfig, SimulationRun,
+from .montecarlo import (ChannelModel, DecoderConfig, SimulationRun, derive_seed,
                          matched_information_set, run_batch, worker_pool)
 from .puncturing import PuncturingPattern, reduced_dimension, vector_to_pattern
 
@@ -169,8 +170,7 @@ class _Evaluator:
 
 def evaluation_seed(master_seed: int, generation: int) -> int:
     """Seed used for objective evaluations in the given generation."""
-    ss = np.random.SeedSequence((master_seed, 1, generation))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return derive_seed(master_seed, "evaluation", generation)
 
 
 def _generation_seed(config: DeConfig, generation: int) -> int:
@@ -210,112 +210,77 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     reproducible from ``config.master_seed`` alone, independent of
     ``config.workers``.  With ``config.workers`` > 1 one pool serves the whole
     search and the confirmation run.
+
+    With ``log_path`` the run log gets one JSON line per generation, 0
+    included: ``generation``, ``best_objective`` and ``best_pattern``.  The
+    file is opened once generation 0 has been scored.
     """
     dim = search_dimension(spec, config)
     if not 1 <= n_p <= dim:  # before any pool is opened
         raise ValueError(f"n_p={n_p} must lie in [1, D={dim}]")
     rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
-    with worker_pool(config.workers) as pool:
-        evaluator = _Evaluator(spec, config, pool)
+    rows = list(range(config.pop_size))
+    # in_place: each replacement is visible to the next row's trial vector
+    batches = [[i] for i in rows] if config.in_place else [rows]
+    with contextlib.ExitStack() as stack:
+        evaluator = _Evaluator(spec, config,
+                               stack.enter_context(worker_pool(config.workers)))
         pop = init_population(spec, n_p, config, rng=rng, evaluator=evaluator)
-        history, generation = _evolve(spec, n_p, config, pop, evaluator, rng,
-                                      log_path)
-        best_idx = int(np.argmin(pop.objectives))
-        result = DeResult(
-            pattern=pop.patterns[best_idx],
-            info_set=pop.info_sets[best_idx],
-            history=history,
-            generations=generation,
-            evaluations=evaluator.evaluations,
-            best_objective=float(pop.objectives[best_idx]),
-            config=config,
-        )
+        log = stack.enter_context(open(log_path, "w")) if log_path else None
+        history, stall = [], 0
+        for generation in range(config.max_iters + 1):
+            if generation:
+                seed = _generation_seed(config, generation)
+                for batch in batches:
+                    _select(pop, batch, n_p, evaluator, rng, seed)
+            best_idx = int(np.argmin(pop.objectives))
+            best = float(pop.objectives[best_idx])
+            if history:
+                prev = history[-1]
+                improvement = (prev - best) / prev if prev > 0 else 0.0
+                stall = stall + 1 if improvement < config.stall_tolerance else 0
+            history.append(best)
+            if log is not None:
+                record = {"generation": generation, "best_objective": best,
+                          "best_pattern": list(pop.patterns[best_idx].indices)}
+                log.write(json.dumps(record) + "\n")
+            if stall >= config.stall_generations:
+                break
+        result = DeResult(pattern=pop.patterns[best_idx],
+                          info_set=pop.info_sets[best_idx], history=history,
+                          generations=generation, evaluations=evaluator.evaluations,
+                          best_objective=best, config=config)
         if config.confirm_trials is not None:
-            confirm_seed = int(np.random.SeedSequence(
-                (config.master_seed, 2)).generate_state(1, np.uint64)[0])
             run = SimulationRun.plan(spec, result.pattern, result.info_set,
                                      evaluator.model, decoder=DecoderConfig("sc"),
-                                     trials=config.confirm_trials, seed=confirm_seed)
-            result.confirmed_objective = run_batch([run], pool)[0].objective
+                                     trials=config.confirm_trials,
+                                     seed=derive_seed(config.master_seed,
+                                                      "confirmation"))
+            result.confirmed_objective = run_batch([run], evaluator.pool)[0].objective
     return result
 
 
-def _evolve(spec: CodeSpec, n_p: int, config: DeConfig, pop: Population,
-            evaluator: _Evaluator, rng: np.random.Generator,
-            log_path) -> tuple[list[float], int]:
-    """Run the generations on ``pop``; return the best-objective history and
-    the number of generations run."""
-    log_file = open(log_path, "w") if log_path else None
+def _select(pop: Population, rows: list[int], n_p: int, evaluator: _Evaluator,
+            rng: np.random.Generator, seed: int) -> None:
+    """Greedy selection of each row against its rand/1/bin trial vector.
 
-    def log_record(generation: int, best_idx: int) -> None:
-        if log_file is None:
-            return
-        record = {
-            "generation": generation,
-            "best_objective": float(pop.objectives[best_idx]),
-            "best_pattern": list(pop.patterns[best_idx].indices),
-        }
-        log_file.write(json.dumps(record) + "\n")
-
-    try:
-        best_idx = int(np.argmin(pop.objectives))
-        history = [float(pop.objectives[best_idx])]
-        log_record(0, best_idx)
-
-        stall = 0
-        generation = 0
-        for generation in range(1, config.max_iters + 1):
-            seed = _generation_seed(config, generation)
-            if config.in_place:
-                # each replacement is visible to the next row's trial vector
-                for i in range(config.pop_size):
-                    _select(pop, [i], [make_trial(pop.genes, i, config, rng)],
-                            n_p, spec, config, evaluator, seed)
-            else:
-                rows = list(range(config.pop_size))
-                trials = [make_trial(pop.genes, i, config, rng) for i in rows]
-                _select(pop, rows, trials, n_p, spec, config, evaluator, seed)
-
-            best_idx = int(np.argmin(pop.objectives))
-            best = float(pop.objectives[best_idx])
-            prev = history[-1]
-            history.append(best)
-            log_record(generation, best_idx)
-
-            improvement = (prev - best) / prev if prev > 0 else 0.0
-            stall = stall + 1 if improvement < config.stall_tolerance else 0
-            if stall >= config.stall_generations:
-                break
-    finally:
-        if log_file is not None:
-            log_file.close()
-    return history, generation
-
-
-def _select(pop: Population, rows: list[int], trials: list[np.ndarray], n_p: int,
-            spec: CodeSpec, config: DeConfig, evaluator: _Evaluator,
-            seed: int) -> None:
-    """Greedy selection of each row against its trial vector.
-
-    The trial patterns (and, with ``fresh_incumbents``, the incumbents) are
-    evaluated as one batch.  Rows are compared independently, so replacing a
-    row here equals staging every replacement to the end of the generation.
+    The rows' trial vectors are drawn in row order, then their patterns (and,
+    with ``fresh_incumbents``, the incumbents) are evaluated as one batch.
+    Rows are compared independently, so replacing a row here equals staging
+    every replacement to the end of the batch.
     """
-    t_patterns = [vector_to_pattern(trial, n_p, spec, reduced=config.reduced_space)
-                  for trial in trials]
+    spec, config = evaluator.spec, evaluator.config
+    trials = [make_trial(pop.genes, i, config, rng) for i in rows]
+    patterns = [vector_to_pattern(trial, n_p, spec, reduced=config.reduced_space)
+                for trial in trials]
     incumbents = [pop.patterns[i] for i in rows] if config.fresh_incumbents else []
-    scored = evaluator.evaluate(t_patterns + incumbents, seed)
+    scored = evaluator.evaluate(patterns + incumbents, seed)
     for i, (info, value) in zip(rows, scored[len(rows):]):
         pop.info_sets[i] = info
         pop.objectives[i] = value
-    for i, trial, pattern, (info, value) in zip(rows, trials, t_patterns, scored):
+    for i, trial, pattern, (info, value) in zip(rows, trials, patterns, scored):
         if value < pop.objectives[i]:
-            _replace(pop, i, trial, pattern, info, value)
-
-
-def _replace(pop: Population, i: int, genes_row: np.ndarray,
-             pattern: PuncturingPattern, info: tuple, value: float) -> None:
-    pop.genes[i] = genes_row
-    pop.patterns[i] = pattern
-    pop.info_sets[i] = info
-    pop.objectives[i] = value
+            pop.genes[i] = trial
+            pop.patterns[i] = pattern
+            pop.info_sets[i] = info
+            pop.objectives[i] = value

@@ -28,6 +28,16 @@ from .puncturing import PuncturingPattern
 
 HARD_LLR = 1e4
 DEFAULT_CHUNK = 8192
+# Tags of the seed streams (see ``derive_seed``): a search's evaluations per
+# generation, its final confirmation run, and a sweep's increments per point.
+SEED_STREAMS = {"evaluation": 1, "confirmation": 2, "sweep": 3}
+
+
+def derive_seed(base_seed: int, stream: str, *counters: int) -> int:
+    """64-bit run seed of ``SeedSequence((base_seed, tag, *counters))``, tag
+    the ``SEED_STREAMS`` entry of ``stream``."""
+    ss = np.random.SeedSequence((base_seed, SEED_STREAMS[stream], *counters))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

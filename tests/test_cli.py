@@ -82,7 +82,9 @@ def test_optimize_writes_pattern_and_log(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
                                         ("--confirm-trials", "-5"), ("--seed", "-1"),
-                                        ("--np", "0"), ("--np", "-2")])
+                                        ("--np", "0"), ("--np", "-2"),
+                                        ("--pop-size", "3"), ("--max-iters", "0"),
+                                        ("--trials", "0")])
 def test_optimize_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value):
     out = tmp_path / "opt.json"
     rc = main(["optimize", "--n", "8", "--k", "4", "--np", "2", "--ebn0", "3",
