@@ -2,9 +2,8 @@
 codes: encoder, construction, SC/SCL decoding, Monte Carlo simulation, and a
 differential-evolution search for puncturing patterns."""
 
-from .construction import (ReliabilityVector, bec_bhattacharyya,
-                           frozen_complement, ga_llr_means, noise_variance,
-                           select_information_set)
+from .construction import (ReliabilityVector, bec_bhattacharyya, ga_llr_means,
+                           noise_variance, select_information_set)
 from .core import (CodeSpec, bit_reversal_permutation, bit_reverse, encode,
                    generator_matrix)
 from .decoders import (SCDecoder, SCLDecoder, crc16_append, crc16_ccitt,
@@ -14,10 +13,9 @@ from .evolution import (DeConfig, DeResult, de_optimize, evaluation_seed,
 from .montecarlo import (BerReport, ChannelModel, DecoderConfig, channel_llrs,
                          objective, simulate)
 from .puncturing import (PatternFileError, PuncturingPattern,
-                         branch_role_counts, forbidden_set, load_pattern,
-                         qup_pattern, reduced_dimension,
-                         reference_pattern_path, rqup_pattern, save_pattern,
-                         vector_to_pattern)
+                         branch_role_counts, candidate_bits, load_pattern,
+                         qup_pattern, reference_pattern_path, rqup_pattern,
+                         save_pattern, vector_to_pattern)
 
 __version__ = "0.1.0"
 
@@ -26,11 +24,10 @@ __all__ = [
     "DecoderConfig", "PatternFileError", "PuncturingPattern",
     "ReliabilityVector", "SCDecoder", "SCLDecoder", "bec_bhattacharyya",
     "bit_reversal_permutation", "bit_reverse", "branch_role_counts",
-    "channel_llrs", "crc16_append", "crc16_ccitt", "crc16_check",
-    "de_optimize", "encode", "evaluation_seed", "f_node", "forbidden_set",
-    "frozen_complement", "g_node", "ga_llr_means", "generator_matrix",
-    "init_population", "load_pattern", "make_trial", "noise_variance",
-    "objective", "qup_pattern", "reduced_dimension",
-    "reference_pattern_path", "rqup_pattern", "save_pattern",
+    "candidate_bits", "channel_llrs", "crc16_append", "crc16_ccitt",
+    "crc16_check", "de_optimize", "encode", "evaluation_seed", "f_node",
+    "g_node", "ga_llr_means", "generator_matrix", "init_population",
+    "load_pattern", "make_trial", "noise_variance", "objective",
+    "qup_pattern", "reference_pattern_path", "rqup_pattern", "save_pattern",
     "select_information_set", "simulate", "vector_to_pattern",
 ]

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--method", choices=["qup", "rqup", "file"], required=True)
     p_pat.add_argument("--n", type=int)
     p_pat.add_argument("--k", type=int)
-    p_pat.add_argument("--np", dest="n_p", type=int)
+    p_pat.add_argument("--np", dest="n_p", type=_at_least(1))
     p_pat.add_argument("--ebn0", type=float,
                        help="design Eb/N0 in dB for information-set selection")
     p_pat.add_argument("--in", dest="infile", help="input file for --method file")

@@ -186,8 +186,3 @@ def select_information_set(reliability: ReliabilityVector, k: int) -> tuple[int,
     chosen = np.sort(order[:k]) + 1
     return tuple(int(i) for i in chosen)
 
-
-def frozen_complement(spec: CodeSpec, info_set) -> tuple[int, ...]:
-    """Input positions not in the information set (1-based, ascending)."""
-    info = set(info_set)
-    return tuple(i for i in range(1, spec.n_mother + 1) if i not in info)

@@ -19,7 +19,11 @@ import numpy as np
 from .core import CodeSpec
 from .montecarlo import (ChannelModel, DecoderConfig, SimulationRun, derive_seed,
                          matched_information_set, run_batch, worker_pool)
-from .puncturing import PuncturingPattern, reduced_dimension, vector_to_pattern
+from .puncturing import PuncturingPattern, candidate_bits, vector_to_pattern
+
+# a generation whose relative improvement of the best objective is below this
+# counts toward the stall
+_MIN_IMPROVEMENT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class DeConfig:
 
     ``scale`` is the mutation factor F, ``crossover`` the rate C_r.  The run
     stops after ``max_iters`` generations or once the relative improvement of
-    the best objective stays below ``stall_tolerance`` for
+    the best objective stays below ``_MIN_IMPROVEMENT`` (0.1%) for
     ``stall_generations`` consecutive generations.  When ``fresh_incumbents``
     is set, incumbents are re-evaluated under each generation's evaluation
     seed instead of reusing cached values; ``in_place`` switches from
@@ -53,7 +57,6 @@ class DeConfig:
     scale: float = 0.6
     crossover: float = 0.8
     max_iters: int = 50
-    stall_tolerance: float = 1e-3
     stall_generations: int = 3
     reduced_space: bool = True
     ebn0_db: float = 6.0
@@ -103,10 +106,6 @@ class DeResult:
     best_objective: float
     confirmed_objective: float | None = None
     config: DeConfig | None = None
-
-
-def search_dimension(spec: CodeSpec, config: DeConfig) -> int:
-    return reduced_dimension(spec) if config.reduced_space else spec.n_mother
 
 
 def make_trial(genes: np.ndarray, i: int, config: DeConfig,
@@ -186,7 +185,7 @@ def init_population(spec: CodeSpec, n_p: int, config: DeConfig,
     objective of every row already evaluated (generation-0 seed).  Without an
     ``evaluator`` the rows are evaluated in this process, whatever
     ``config.workers`` is."""
-    dim = search_dimension(spec, config)
+    dim = candidate_bits(spec, config.reduced_space).size
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
     if evaluator is None:
@@ -215,7 +214,7 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     included: ``generation``, ``best_objective`` and ``best_pattern``.  The
     file is opened once generation 0 has been scored.
     """
-    dim = search_dimension(spec, config)
+    dim = candidate_bits(spec, config.reduced_space).size
     if not 1 <= n_p <= dim:  # before any pool is opened
         raise ValueError(f"n_p={n_p} must lie in [1, D={dim}]")
     rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
@@ -238,7 +237,7 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
             if history:
                 prev = history[-1]
                 improvement = (prev - best) / prev if prev > 0 else 0.0
-                stall = stall + 1 if improvement < config.stall_tolerance else 0
+                stall = stall + 1 if improvement < _MIN_IMPROVEMENT else 0
             history.append(best)
             if log is not None:
                 record = {"generation": generation, "best_objective": best,

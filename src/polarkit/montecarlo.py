@@ -299,31 +299,28 @@ def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: Channe
 
 
 def matched_information_set(spec: CodeSpec, pattern: PuncturingPattern,
-                            model: ChannelModel,
-                            effective_rate: float | None = None) -> tuple[int, ...]:
+                            model: ChannelModel) -> tuple[int, ...]:
     """The K most reliable positions for ``pattern`` on ``model``: Gaussian
-    approximation at the model's Eb/N0 (at the punctured code's rate unless
-    ``effective_rate`` is given), or exact Bhattacharyya parameters on a BEC."""
-    if effective_rate is None:
-        effective_rate = spec.k_info / pattern.n_transmitted
+    approximation at the model's Eb/N0 and the punctured code's rate, or exact
+    Bhattacharyya parameters on a BEC."""
     if model.kind == "bec":
         reliability = bec_bhattacharyya(spec, model.epsilon, pattern)
     else:
-        reliability = ga_llr_means(spec, model.ebn0_db, pattern, effective_rate)
+        reliability = ga_llr_means(spec, model.ebn0_db, pattern,
+                                   spec.k_info / pattern.n_transmitted)
     return select_information_set(reliability, spec.k_info)
 
 
 def objective(spec: CodeSpec, pattern: PuncturingPattern, model: ChannelModel,
               decoder: DecoderConfig = DecoderConfig(), trials: int = 10000,
-              seed: int = 0, effective_rate: float | None = None,
-              workers: int = 1) -> tuple[tuple[int, ...], float]:
+              seed: int = 0, workers: int = 1) -> tuple[tuple[int, ...], float]:
     """Re-select the information set for ``pattern`` and evaluate the summed
     information-bit BER.
 
     The information set is ``matched_information_set``'s; the value is the
     Monte Carlo estimate of the objective for that pair.
     """
-    info = matched_information_set(spec, pattern, model, effective_rate)
+    info = matched_information_set(spec, pattern, model)
     report = simulate(spec, pattern, info, model, decoder=decoder, trials=trials,
-                      seed=seed, effective_rate=effective_rate, workers=workers)
+                      seed=seed, workers=workers)
     return info, report.objective

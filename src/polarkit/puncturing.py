@@ -73,18 +73,15 @@ def _check_np(spec: CodeSpec, n_p: int) -> None:
         raise ValueError(f"n_p must be in (0, {spec.n_mother}), got {n_p}")
 
 
-def forbidden_set(spec: CodeSpec) -> frozenset[int]:
-    """Coded bits excluded from puncturing candidacy: the even-indexed bits
-    together with bit N-1 (1-based)."""
-    if spec.n_mother < 4:
-        raise ValueError("forbidden set is defined for N >= 4")
+def candidate_bits(spec: CodeSpec, reduced: bool = True) -> np.ndarray:
+    """The 1-based coded bits a search may puncture, one per genotype column.
+
+    The reduced space holds the odd bits 1, 3, ..., N-3: on AWGN channels the
+    even bits and bit N-1 can be avoided for puncturing.  The full space is
+    bits 1..N.
+    """
     n = spec.n_mother
-    return frozenset(range(2, n + 1, 2)) | {n - 1}
-
-
-def reduced_dimension(spec: CodeSpec) -> int:
-    """Size of the reduced search space: N/2 - 1 odd bits (bit N-1 excluded)."""
-    return spec.n_mother // 2 - 1
+    return np.arange(1, n - 2, 2) if reduced else np.arange(1, n + 1)
 
 
 def branch_role_counts(spec: CodeSpec) -> list[tuple[int, int]]:
@@ -107,23 +104,21 @@ def vector_to_pattern(candidate, n_p: int, spec: CodeSpec,
                       reduced: bool = True) -> PuncturingPattern:
     """Project a real-valued candidate vector onto a puncturing pattern.
 
-    The n_p largest entries win (ties broken toward the lower column).  In the
-    reduced space, column j (1-based) stands for coded bit 2j-1, covering the
-    odd bits 1, 3, ..., N-3; otherwise column j stands for bit j.
+    The n_p largest entries win (ties broken toward the lower column); column
+    j stands for ``candidate_bits(spec, reduced)[j]``.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     if candidate.ndim != 1:
         raise ValueError("candidate must be a 1-D vector")
-    want = reduced_dimension(spec) if reduced else spec.n_mother
-    if candidate.size != want:
+    bits = candidate_bits(spec, reduced)
+    if candidate.size != bits.size:
         raise ValueError(
-            f"candidate length {candidate.size} does not match D={want} "
+            f"candidate length {candidate.size} does not match D={bits.size} "
             f"({'reduced' if reduced else 'full'} space, N={spec.n_mother})")
     if not 1 <= n_p <= candidate.size:
         raise ValueError(f"n_p={n_p} must lie in [1, D={candidate.size}]")
-    cols = np.argsort(-candidate, kind="stable")[:n_p] + 1
-    bits = 2 * cols - 1 if reduced else cols
-    return PuncturingPattern(spec.n_mother, tuple(int(b) for b in bits))
+    cols = np.argsort(-candidate, kind="stable")[:n_p]
+    return PuncturingPattern(spec.n_mother, tuple(int(b) for b in bits[cols]))
 
 
 # ---------------------------------------------------------------------------

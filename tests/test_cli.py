@@ -96,6 +96,27 @@ def test_optimize_rejects_bad_counts_before_searching(tmp_path, capsys, flag, va
     assert not (tmp_path / "opt.json.log").exists()
 
 
+_NP_COMMANDS = {
+    "pattern": ["pattern", "--method", "qup", "--n", "16", "--k", "8", "--ebn0", "3"],
+    "optimize": ["optimize", "--n", "16", "--k", "8", "--ebn0", "3", "--pop-size", "4",
+                 "--max-iters", "1", "--trials", "100"],
+}
+
+
+# the upper bound depends on N: n_p < N for pattern, n_p <= D = N/2 - 1 for
+# optimize, so a value above it is a domain error rather than a usage error
+@pytest.mark.parametrize("command,n_p,code", [
+    ("pattern", "0", 1), ("pattern", "-2", 1), ("pattern", "20", 3),
+    ("optimize", "0", 1), ("optimize", "-2", 1), ("optimize", "8", 3)])
+def test_np_below_one_is_usage_error_and_above_the_bound_domain_error(
+        tmp_path, capsys, command, n_p, code):
+    out = tmp_path / "x.json"
+    rc = main(_NP_COMMANDS[command] + ["--np", n_p, "--out", str(out)])
+    assert rc == code
+    assert ("usage error" if code == 1 else "error: ") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_optimize_missing_required_flag():
     assert main(["optimize", "--n", "8", "--k", "4", "--np", "2"]) == 1
 

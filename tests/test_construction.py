@@ -6,8 +6,7 @@ import pytest
 
 from polarkit import (CodeSpec, PuncturingPattern, ReliabilityVector,
                       bec_bhattacharyya, bit_reversal_permutation,
-                      frozen_complement, ga_llr_means, noise_variance,
-                      select_information_set)
+                      ga_llr_means, noise_variance, select_information_set)
 from polarkit.construction import ga_phi, ga_phi_inv
 
 
@@ -155,11 +154,6 @@ def test_select_is_deterministic():
     rel = ReliabilityVector(vals, "bhattacharyya")
     picks = {select_information_set(rel, 10) for _ in range(5)}
     assert len(picks) == 1
-
-
-def test_frozen_complement():
-    spec = CodeSpec(8, 4)
-    assert frozen_complement(spec, (4, 6, 7, 8)) == (1, 2, 3, 5)
 
 
 def test_reliability_vector_kind_validation():

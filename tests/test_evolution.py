@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polarkit import (ChannelModel, CodeSpec, DeConfig, PuncturingPattern,
-                      de_optimize, evaluation_seed, forbidden_set,
+                      candidate_bits, de_optimize, evaluation_seed,
                       init_population, make_trial, objective)
 
 SPEC8 = CodeSpec(8, 4)
@@ -146,7 +146,7 @@ def test_search_uses_one_pool_and_matches_serial(pools_made, trials, confirm_tri
 def test_reduced_space_avoids_forbidden_bits():
     for seed in range(3):
         res = de_optimize(SPEC8, 2, small_config(master_seed=seed, max_iters=3))
-        assert not set(res.pattern.indices) & forbidden_set(SPEC8)
+        assert set(res.pattern.indices) <= set(candidate_bits(SPEC8).tolist())
 
 
 def test_full_space_mode_runs():
@@ -216,5 +216,5 @@ def test_large_block_length_smoke():
     res = de_optimize(spec, 28, cfg)
     assert res.pattern.n_p == 28
     assert all(i % 2 == 1 for i in res.pattern.indices)
-    assert not set(res.pattern.indices) & forbidden_set(spec)
+    assert set(res.pattern.indices) <= set(candidate_bits(spec).tolist())
     assert len(res.info_set) == 64

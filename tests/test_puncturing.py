@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarkit import (CodeSpec, PatternFileError, PuncturingPattern,
-                      bit_reverse, branch_role_counts, forbidden_set,
-                      load_pattern, qup_pattern, reduced_dimension,
-                      reference_pattern_path, rqup_pattern, save_pattern,
-                      vector_to_pattern)
+                      bit_reverse, branch_role_counts, candidate_bits,
+                      load_pattern, qup_pattern, reference_pattern_path,
+                      rqup_pattern, save_pattern, vector_to_pattern)
 
 
 def test_qup_examples():
@@ -55,10 +54,15 @@ def test_np_range_validation():
             rqup_pattern(spec, bad)
 
 
+def forbidden(spec):
+    """Coded bits outside the reduced search space."""
+    return set(range(1, spec.n_mother + 1)) - set(candidate_bits(spec).tolist())
+
+
 def test_forbidden_set_examples():
-    assert forbidden_set(CodeSpec(8, 4)) == frozenset({2, 4, 6, 7, 8})
-    assert forbidden_set(CodeSpec(4, 2)) == frozenset({2, 3, 4})
-    f128 = forbidden_set(CodeSpec(128, 64))
+    assert forbidden(CodeSpec(8, 4)) == {2, 4, 6, 7, 8}
+    assert forbidden(CodeSpec(4, 2)) == {2, 3, 4}
+    f128 = forbidden(CodeSpec(128, 64))
     assert len(f128) == 65
     assert 127 in f128 and all(i in f128 for i in range(2, 129, 2))
 
@@ -66,8 +70,9 @@ def test_forbidden_set_examples():
 def test_forbidden_and_reduced_sizes():
     for n in (4, 8, 32, 128):
         spec = CodeSpec(n, n // 2)
-        assert len(forbidden_set(spec)) == n // 2 + 1
-        assert reduced_dimension(spec) == n // 2 - 1
+        assert len(forbidden(spec)) == n // 2 + 1
+        assert candidate_bits(spec).size == n // 2 - 1
+        assert candidate_bits(spec, reduced=False).tolist() == list(range(1, n + 1))
 
 
 def traversal_roles(n):
@@ -142,7 +147,7 @@ def test_reduced_projection_avoids_forbidden(m, genes, n_p):
     spec = CodeSpec(n, n // 2)
     n_p = min(n_p, n // 2 - 1)
     pattern = vector_to_pattern(np.array(genes[:n // 2 - 1]), n_p, spec, reduced=True)
-    assert not set(pattern.indices) & forbidden_set(spec)
+    assert set(pattern.indices) <= set(candidate_bits(spec).tolist())
     assert all(i % 2 == 1 for i in pattern.indices)
 
 
