@@ -91,14 +91,14 @@ def encode(u, spec: CodeSpec) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x[bit_reversal_permutation(spec.m)], 0, -1))
 
 
-def generator_matrix(spec: CodeSpec, max_n: int = GENERATOR_MATRIX_MAX_N) -> np.ndarray:
+def generator_matrix(spec: CodeSpec) -> np.ndarray:
     """Dense N x N generator matrix B_N F2^(kron m) over GF(2).
 
-    Sized for testing and inspection; refuses N above ``max_n``.
+    Sized for testing and inspection; refuses N above ``GENERATOR_MATRIX_MAX_N``.
     """
     n = spec.n_mother
-    if n > max_n:
-        raise ValueError(f"N={n} exceeds the dense-matrix bound {max_n}")
+    if n > GENERATOR_MATRIX_MAX_N:
+        raise ValueError(f"N={n} exceeds the dense-matrix bound {GENERATOR_MATRIX_MAX_N}")
     f2 = np.array([[1, 0], [1, 1]], dtype=np.int8)
     g = np.array([[1]], dtype=np.int8)
     for _ in range(spec.m):

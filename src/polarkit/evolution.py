@@ -105,7 +105,6 @@ class DeResult:
     evaluations: int
     best_objective: float
     confirmed_objective: float | None = None
-    config: DeConfig | None = None
 
 
 def make_trial(genes: np.ndarray, i: int, config: DeConfig,
@@ -248,7 +247,7 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
         result = DeResult(pattern=pop.patterns[best_idx],
                           info_set=pop.info_sets[best_idx], history=history,
                           generations=generation, evaluations=evaluator.evaluations,
-                          best_objective=best, config=config)
+                          best_objective=best)
         if config.confirm_trials is not None:
             run = SimulationRun.plan(spec, result.pattern, result.info_set,
                                      evaluator.model, decoder=DecoderConfig("sc"),

@@ -1,8 +1,9 @@
 """Channel models and seeded Monte Carlo simulation.
 
-Runs are deterministic: trials are processed in fixed chunks and every chunk
-draws from a counter-based Philox generator keyed by (seed, chunk index), so
-results are bit-identical regardless of how many workers execute the chunks.
+Runs are deterministic: trials are processed in fixed chunks of
+``CHUNK_TRIALS`` (the last one short) and every chunk draws from a
+counter-based Philox generator keyed by (seed, chunk index), so results are
+bit-identical regardless of how many workers execute the chunks.
 The draw order is the contract: a chunk of B frames draws its (B, K - crc)
 random payload bits, then its (B, N) channel draw (AWGN noise or BEC
 uniforms).  A chunk then works in the decoders' (N, B) tree layout, whose
@@ -27,7 +28,7 @@ from .decoders import CRC16_LEN, SCDecoder, SCLDecoder, crc16_remainder_bits
 from .puncturing import PuncturingPattern
 
 HARD_LLR = 1e4
-DEFAULT_CHUNK = 8192
+CHUNK_TRIALS = 8192
 # Tags of the seed streams (see ``derive_seed``): a search's evaluations per
 # generation, its final confirmation run, and a sweep's increments per point.
 SEED_STREAMS = {"evaluation": 1, "confirmation": 2, "sweep": 3}
@@ -183,20 +184,16 @@ class SimulationRun:
     effective_rate: float
     trials: int
     seed: int
-    chunk_size: int
 
     @classmethod
     def plan(cls, spec: CodeSpec, pattern: PuncturingPattern, info_set,
              model: ChannelModel, decoder: DecoderConfig = DecoderConfig(),
              trials: int = 10000, seed: int = 0,
-             effective_rate: float | None = None,
-             chunk_size: int = DEFAULT_CHUNK) -> "SimulationRun":
+             effective_rate: float | None = None) -> "SimulationRun":
         """Validate ``simulate``'s arguments (``workers`` aside), the AWGN
         noise variance included."""
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if pattern.n_mother != spec.n_mother:
             raise ValueError(f"pattern is for N={pattern.n_mother}, "
                              f"code has N={spec.n_mother}")
@@ -212,14 +209,14 @@ class SimulationRun:
         if model.kind == "awgn_bpsk":  # a point with no usable noise fails here
             noise_variance(model.ebn0_db, effective_rate)
         return cls(spec, pattern, info_idx, model, decoder, effective_rate,
-                   trials, seed, chunk_size)
+                   trials, seed)
 
     def jobs(self) -> list[tuple]:
         """``_simulate_chunk``'s (run, chunk index, chunk trials) for each
-        chunk, in chunk order."""
-        sizes = [self.chunk_size] * (self.trials // self.chunk_size)
-        if self.trials % self.chunk_size:
-            sizes.append(self.trials % self.chunk_size)
+        chunk of ``CHUNK_TRIALS``, in chunk order."""
+        sizes = [CHUNK_TRIALS] * (self.trials // CHUNK_TRIALS)
+        if self.trials % CHUNK_TRIALS:
+            sizes.append(self.trials % CHUNK_TRIALS)
         return [(self, ci, sz) for ci, sz in enumerate(sizes)]
 
     def tally(self, results) -> BerReport:
@@ -277,7 +274,7 @@ def run_batch(runs: list[SimulationRun], pool=None) -> list[BerReport]:
 def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: ChannelModel,
              decoder: DecoderConfig = DecoderConfig(), trials: int = 10000,
              seed: int = 0, effective_rate: float | None = None,
-             chunk_size: int = DEFAULT_CHUNK, workers: int = 1) -> BerReport:
+             workers: int = 1) -> BerReport:
     """Monte Carlo estimate of per-bit BER, BLER, and the scalar objective.
 
     Each trial draws a uniform payload, encodes, passes the codeword through
@@ -285,16 +282,17 @@ def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: Channe
     per-information-bit and block errors.  Given identical arguments the
     report is bit-for-bit reproducible, independent of ``workers``.
 
-    Trials run in chunks of ``chunk_size``.  With ``workers`` > 1 and more
-    than one chunk, the call opens its own pool of that many processes and
-    closes it before returning; otherwise the chunks run in this process.
+    Trials run in fixed chunks of ``CHUNK_TRIALS``, so the report depends
+    only on the arguments and ``seed``.  With ``workers`` > 1 and more than
+    one chunk, the call opens its own pool of that many processes and closes
+    it before returning; otherwise the chunks run in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     run = SimulationRun.plan(spec, pattern, info_set, model, decoder=decoder,
                              trials=trials, seed=seed,
-                             effective_rate=effective_rate, chunk_size=chunk_size)
-    with worker_pool(workers if trials > chunk_size else 1) as pool:
+                             effective_rate=effective_rate)
+    with worker_pool(workers if trials > CHUNK_TRIALS else 1) as pool:
         return run_batch([run], pool)[0]
 
 
@@ -312,15 +310,15 @@ def matched_information_set(spec: CodeSpec, pattern: PuncturingPattern,
 
 
 def objective(spec: CodeSpec, pattern: PuncturingPattern, model: ChannelModel,
-              decoder: DecoderConfig = DecoderConfig(), trials: int = 10000,
-              seed: int = 0, workers: int = 1) -> tuple[tuple[int, ...], float]:
+              trials: int = 10000, seed: int = 0,
+              workers: int = 1) -> tuple[tuple[int, ...], float]:
     """Re-select the information set for ``pattern`` and evaluate the summed
-    information-bit BER.
+    information-bit BER under SC decoding, the search's objective.
 
-    The information set is ``matched_information_set``'s; the value is the
-    Monte Carlo estimate of the objective for that pair.
+    The information set is ``matched_information_set``'s; the value is
+    ``simulate``'s Monte Carlo estimate of the objective for that pair.
     """
     info = matched_information_set(spec, pattern, model)
-    report = simulate(spec, pattern, info, model, decoder=decoder, trials=trials,
-                      seed=seed, workers=workers)
+    report = simulate(spec, pattern, info, model, trials=trials, seed=seed,
+                      workers=workers)
     return info, report.objective

@@ -91,8 +91,6 @@ def branch_role_counts(spec: CodeSpec) -> list[tuple[int, int]]:
     Entry i describes coded bit i+1.  The lower count equals the popcount of
     the 0-based bit index; upper + lower = m for every bit.
     """
-    if spec.n_mother < 2:
-        raise ValueError("need N >= 2")
     out = []
     for i in range(spec.n_mother):
         lower = bin(i).count("1")
@@ -163,38 +161,40 @@ def load_pattern(path):
     if n < 2 or (n & (n - 1)) != 0:
         raise PatternFileError(f"field 'n_mother': {n} is not a power of 2 >= 2")
     n_p = _require_int(doc, "n_p")
-    indices = doc.get("indices")
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
-        raise PatternFileError("field 'indices': must be a list of integers")
-    if any(i < 1 or i > n for i in indices):
-        bad = [i for i in indices if i < 1 or i > n]
-        raise PatternFileError(f"field 'indices': values {bad} outside [1, {n}]")
-    if len(set(indices)) != len(indices):
-        raise PatternFileError("field 'indices': duplicate entries")
+    indices = _require_positions(doc, "indices", n)
     if len(indices) != n_p:
         raise PatternFileError(
             f"field 'n_p': declared {n_p} but 'indices' has {len(indices)} entries")
 
     info_set = None
-    if "info_set" in doc and doc["info_set"] is not None:
-        raw = doc["info_set"]
-        if not isinstance(raw, list) or not all(isinstance(i, int) for i in raw):
-            raise PatternFileError("field 'info_set': must be a list of integers")
-        if any(i < 1 or i > n for i in raw):
-            bad = [i for i in raw if i < 1 or i > n]
-            raise PatternFileError(f"field 'info_set': values {bad} outside [1, {n}]")
-        if len(set(raw)) != len(raw):
-            raise PatternFileError("field 'info_set': duplicate entries")
-        info_set = tuple(sorted(raw))
+    if doc.get("info_set") is not None:
+        info_set = tuple(sorted(_require_positions(doc, "info_set", n)))
 
     pattern = PuncturingPattern(n, tuple(indices))
     return pattern, info_set, doc.get("provenance", "")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(doc: dict, key: str) -> int:
     value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise PatternFileError(f"field {key!r}: must be an integer, got {value!r}")
+    return value
+
+
+def _require_positions(doc: dict, key: str, n: int) -> list[int]:
+    """Field ``key`` as a list of distinct 1-based positions in [1, n]."""
+    value = doc.get(key)
+    if not isinstance(value, list) or not all(_is_int(i) for i in value):
+        raise PatternFileError(f"field {key!r}: must be a list of integers")
+    bad = [i for i in value if not 1 <= i <= n]
+    if bad:
+        raise PatternFileError(f"field {key!r}: values {bad} outside [1, {n}]")
+    if len(set(value)) != len(value):
+        raise PatternFileError(f"field {key!r}: duplicate entries")
     return value
 
 

@@ -151,6 +151,11 @@ def test_evaluate_empty_snr_list(tmp_path):
     assert main(["evaluate", "--pattern", str(pat), "--ebn0", "",
                  "--trials", "100", "--out", str(out)]) == 0
     assert read_csv(out) == [CSV_HEADER]
+    # A list with an entry that is not a number is a usage error.
+    bad = tmp_path / "bad.csv"
+    assert main(["evaluate", "--pattern", str(pat), "--ebn0", "4,x",
+                 "--trials", "100", "--out", str(bad)]) == 1
+    assert not bad.exists()
 
 
 def test_evaluate_early_stop_on_block_errors(tmp_path):
@@ -253,6 +258,13 @@ def test_evaluate_malformed_pattern_file(tmp_path):
     rc = main(["evaluate", "--pattern", str(bad), "--ebn0", "1",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 3
+    # A sweep needs the file's information set.
+    bad.write_text(json.dumps({"schema": "polar-pattern/1", "n_mother": 8,
+                               "n_p": 1, "indices": [1]}))
+    rc = main(["evaluate", "--pattern", str(bad), "--ebn0", "1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_compare_two_patterns(tmp_path):

@@ -38,6 +38,8 @@ def test_bec_perfect_channel():
 def test_bec_epsilon_validation():
     with pytest.raises(ValueError):
         bec_bhattacharyya(CodeSpec(4, 2), 1.5, PuncturingPattern(4, ()))
+    with pytest.raises(ValueError, match="pattern is for N=8"):
+        bec_bhattacharyya(CodeSpec(16, 8), 0.5, PuncturingPattern(8, (1,)))
 
 
 def test_bec_erasure_conservation():
@@ -112,6 +114,8 @@ def test_ga_n4_pattern1_signs():
     rel = ga_llr_means(spec, 2.0, PuncturingPattern(4, (1,)), 0.75)
     assert rel.values[0] == 0.0
     assert np.all(rel.values[1:] > 0.0)
+    with pytest.raises(ValueError, match="pattern is for N=8"):
+        ga_llr_means(CodeSpec(16, 8), 2.0, PuncturingPattern(8, (1,)), 0.75)
 
 
 def test_ga_monotone_in_design_snr():

@@ -48,7 +48,7 @@ def test_generator_matrix_examples():
 
 def test_generator_matrix_capacity_bound():
     with pytest.raises(ValueError):
-        generator_matrix(CodeSpec(2048, 1024), max_n=1024)
+        generator_matrix(CodeSpec(2048, 1024))
 
 
 def test_encode_examples():

@@ -83,7 +83,10 @@ def test_simulate_deterministic_and_worker_independent():
     spec = CodeSpec(16, 8)
     pattern = qup_pattern(spec, 4)
     info = (8, 10, 11, 12, 13, 14, 15, 16)
-    kwargs = dict(trials=20000, seed=123, chunk_size=4096)
+    kwargs = dict(trials=20000, seed=123)
+    # Three chunks of at most CHUNK_TRIALS, so workers=3 runs one chunk each.
+    run = SimulationRun.plan(spec, pattern, info, ChannelModel.awgn(2.0), **kwargs)
+    assert [(ci, sz) for _, ci, sz in run.jobs()] == [(0, 8192), (1, 8192), (2, 3616)]
     a = simulate(spec, pattern, info, ChannelModel.awgn(2.0), **kwargs)
     b = simulate(spec, pattern, info, ChannelModel.awgn(2.0), **kwargs)
     c = simulate(spec, pattern, info, ChannelModel.awgn(2.0), workers=3, **kwargs)
@@ -139,6 +142,10 @@ def test_simulate_validation():
     with pytest.raises(ValueError):
         simulate(spec, PuncturingPattern(16, ()), (4, 6, 7, 8),
                  ChannelModel.awgn(1.0), trials=10)
+    with pytest.raises(ValueError, match="too small to carry the CRC"):
+        simulate(CodeSpec(32, 16), PuncturingPattern(32, ()), tuple(range(17, 33)),
+                 ChannelModel.awgn(1.0),
+                 decoder=DecoderConfig("scl", list_size=2, crc_len=16), trials=10)
 
 
 def test_simulate_scl_with_crc_runs():
@@ -243,7 +250,7 @@ def _oracle_chunk(job):
 
 _SC = DecoderConfig()
 _CHUNK_CASES = [
-    # (N, K, n_p, pattern, model, decoder, trials, chunk_size)
+    # (N, K, n_p, pattern, model, decoder, trials, chunk trials)
     (2, 1, 1, "qup", ChannelModel.awgn(1.0), _SC, 45, 16),
     (4, 2, 1, "random", ChannelModel.bec(0.3), _SC, 45, 16),
     (8, 4, 2, "qup", ChannelModel.awgn(math.inf), _SC, 45, 16),
@@ -283,9 +290,12 @@ def test_chunk_matches_independent_oracle(case):
             sorted(int(i) + 1 for i in rng.choice(n, n_p, replace=False))))
     info = tuple(sorted(int(i) + 1 for i in rng.choice(n, k, replace=False)))
     run = SimulationRun.plan(spec, pattern, info, model, decoder=decoder,
-                             trials=trials, seed=n * 7 + 1, chunk_size=chunk)
-    jobs = run.jobs()
-    assert jobs[-1][-1] < chunk  # the last chunk is a short one
+                             trials=trials, seed=n * 7 + 1)
+    # The case's own small chunks, keyed (seed, chunk index) as run.jobs()
+    # keys its CHUNK_TRIALS ones; the last chunk is a short one.
+    jobs = [(run, ci, min(chunk, trials - start))
+            for ci, start in enumerate(range(0, trials, chunk))]
+    assert jobs[-1][-1] < chunk
     results = [_simulate_chunk(job) for job in jobs]
     for job, (errs, blocks) in zip(jobs, results):
         want_errs, want_blocks = _oracle_chunk(job)

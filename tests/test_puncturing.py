@@ -198,6 +198,16 @@ def test_pattern_file_field_errors(tmp_path):
         load_pattern(write({**good, "n_p": 3}))
     with pytest.raises(PatternFileError, match="info_set"):
         load_pattern(write({**good, "info_set": [0, 3]}))
+    with pytest.raises(PatternFileError, match="top level"):
+        load_pattern(write([good]))
+    # A JSON boolean is not a position, here as in the integer fields.
+    for field, value, match in [("indices", [True, 2], "'indices': must be a list"),
+                                ("indices", ["1", 5], "'indices': must be a list"),
+                                ("info_set", "x", "'info_set': must be a list"),
+                                ("info_set", [True, 3], "'info_set': must be a list"),
+                                ("info_set", [3, 3], "'info_set': duplicate")]:
+        with pytest.raises(PatternFileError, match=match):
+            load_pattern(write({**good, field: value}))
     with pytest.raises(PatternFileError, match="JSON"):
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
