@@ -256,12 +256,12 @@ def _parse_snrs(text: str) -> list[float]:
 
 def _decoder(args) -> DecoderConfig:
     if args.decoder == "scl":
-        return DecoderConfig("scl", list_size=args.list_size or 8, crc_len=args.crc)
+        return DecoderConfig(list_size=args.list_size or 8, crc_len=args.crc)
     if args.crc:
         raise UsageError("--crc requires --decoder scl")
     if args.list_size is not None:
         raise UsageError("--list-size requires --decoder scl")
-    return DecoderConfig("sc")
+    return DecoderConfig()
 
 
 def _sweep(paths: list[str], args) -> list[list]:

@@ -62,11 +62,16 @@ def g_node(l_a, l_b, v_hat):
 
 
 def _info_mask(spec: CodeSpec, info_set) -> np.ndarray:
-    mask = np.zeros(spec.n_mother, dtype=bool)
+    """The (N,) mask of the 1-based ``info_set``, which must be non-empty,
+    within [1, N] and free of duplicates.  Every decoder, and so every
+    simulation run, validates its information set here."""
     idx = np.asarray(sorted(info_set), dtype=np.int64) - 1
-    if idx.size and (idx[0] < 0 or idx[-1] >= spec.n_mother):
-        raise ValueError("information set outside [1, N]")
+    if idx.size == 0 or idx[0] < 0 or idx[-1] >= spec.n_mother:
+        raise ValueError("information set must be non-empty within [1, N]")
+    mask = np.zeros(spec.n_mother, dtype=bool)
     mask[idx] = True
+    if np.count_nonzero(mask) != idx.size:
+        raise ValueError("information set contains duplicate positions")
     return mask
 
 
@@ -93,7 +98,8 @@ class SCDecoder:
     ----------
     spec : CodeSpec
     info_set : iterable of int
-        1-based input positions carrying data; the complement is frozen to 0.
+        1-based input positions carrying data, distinct and within [1, N];
+        the complement is frozen to 0.
     """
 
     def __init__(self, spec: CodeSpec, info_set):

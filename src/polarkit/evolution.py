@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CodeSpec
-from .montecarlo import (ChannelModel, DecoderConfig, SimulationRun, derive_seed,
+from .montecarlo import (ChannelModel, SimulationRun, derive_seed,
                          matched_information_set, run_batch, worker_pool)
 from .puncturing import PuncturingPattern, candidate_bits, vector_to_pattern
 
@@ -73,8 +73,8 @@ class DeConfig:
             raise ValueError("pop_size must be >= 4 (mutation draws 3 distinct rows)")
         if not 0.0 <= self.crossover <= 1.0:
             raise ValueError(f"crossover must lie in [0, 1], got {self.crossover}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         if self.max_iters < 1 or self.trials < 1 or self.stall_generations < 1:
             raise ValueError("max_iters, trials and stall_generations must be >= 1")
         if self.seed_policy not in ("per-generation", "fixed"):
@@ -157,7 +157,6 @@ class _Evaluator:
         infos = [matched_information_set(self.spec, pattern, self.model)
                  for pattern in todo.values()]
         runs = [SimulationRun.plan(self.spec, pattern, info, self.model,
-                                   decoder=DecoderConfig("sc"),
                                    trials=self.config.trials, seed=seed)
                 for pattern, info in zip(todo.values(), infos)]
         for key, info, report in zip(todo, infos, run_batch(runs, self.pool)):
@@ -213,9 +212,9 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     included: ``generation``, ``best_objective`` and ``best_pattern``.  The
     file is opened once generation 0 has been scored.
     """
-    dim = candidate_bits(spec, config.reduced_space).size
-    if not 1 <= n_p <= dim:  # before any pool is opened
-        raise ValueError(f"n_p={n_p} must lie in [1, D={dim}]")
+    high = min(candidate_bits(spec, config.reduced_space).size, spec.n_mother - 1)
+    if not 1 <= n_p <= high:  # before any pool is opened
+        raise ValueError(f"n_p={n_p} must lie in [1, {high}]")
     rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
     rows = list(range(config.pop_size))
     # in_place: each replacement is visible to the next row's trial vector
@@ -250,8 +249,7 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
                           best_objective=best)
         if config.confirm_trials is not None:
             run = SimulationRun.plan(spec, result.pattern, result.info_set,
-                                     evaluator.model, decoder=DecoderConfig("sc"),
-                                     trials=config.confirm_trials,
+                                     evaluator.model, trials=config.confirm_trials,
                                      seed=derive_seed(config.master_seed,
                                                       "confirmation"))
             result.confirmed_objective = run_batch([run], evaluator.pool)[0].objective

@@ -71,21 +71,35 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Which decoder the simulation runs: plain SC or CRC-aided SCL."""
+    """The decoder a simulation runs: a list decoder keeping ``list_size``
+    paths, whose last ``crc_len`` information bits (0 or 16) carry a CRC.
 
-    kind: str = "sc"
+    The default, one path and no CRC, is SC.  A list decoder with one path
+    makes SC's decisions (Tal & Vardy), and a CRC has no other path to
+    choose, so ``build`` runs SC's faster walk whenever ``list_size`` is 1,
+    with the same output.
+    """
+
     list_size: int = 1
     crc_len: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("sc", "scl"):
-            raise ValueError(f"decoder kind must be 'sc' or 'scl', got {self.kind!r}")
-        if self.kind == "sc" and (self.list_size != 1 or self.crc_len != 0):
-            raise ValueError("plain SC takes list_size=1 and crc_len=0")
         if self.list_size < 1:
             raise ValueError(f"list_size must be >= 1, got {self.list_size}")
         if self.crc_len not in (0, CRC16_LEN):
             raise ValueError(f"crc_len must be 0 or {CRC16_LEN}, got {self.crc_len}")
+
+    def build(self, spec: CodeSpec, info_set) -> SCDecoder:
+        """The decoder for ``info_set``: ``SCDecoder`` for one path,
+        ``SCLDecoder`` otherwise.  The decoder validates the information set;
+        one too small to carry the CRC is rejected here."""
+        if self.list_size == 1:
+            dec = SCDecoder(spec, info_set)
+        else:
+            dec = SCLDecoder(spec, info_set, self.list_size, self.crc_len)
+        if self.crc_len >= dec.info_idx.size:
+            raise ValueError("information set too small to carry the CRC")
+        return dec
 
 
 @dataclass(eq=False)
@@ -153,12 +167,7 @@ def _simulate_chunk(job) -> tuple[np.ndarray, int]:
     if decoder.crc_len:
         word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
 
-    info_set = tuple(int(i) + 1 for i in info_idx)
-    if decoder.kind == "sc":
-        dec = SCDecoder(spec, info_set)
-    else:
-        dec = SCLDecoder(spec, info_set, list_size=decoder.list_size,
-                         crc_len=decoder.crc_len)
+    dec = decoder.build(spec, info_idx + 1)
     x = np.zeros((spec.n_mother, chunk_trials), dtype=np.int8)
     x[info_idx] = word.T
     llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
@@ -191,19 +200,14 @@ class SimulationRun:
              trials: int = 10000, seed: int = 0,
              effective_rate: float | None = None) -> "SimulationRun":
         """Validate ``simulate``'s arguments (``workers`` aside), the AWGN
-        noise variance included."""
+        noise variance included.  The information set is checked by building
+        the run's decoder once (``DecoderConfig.build``)."""
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if pattern.n_mother != spec.n_mother:
             raise ValueError(f"pattern is for N={pattern.n_mother}, "
                              f"code has N={spec.n_mother}")
-        info_idx = np.asarray(sorted(set(int(i) for i in info_set)), dtype=np.int64) - 1
-        if info_idx.size != len(tuple(info_set)):
-            raise ValueError("information set contains duplicate positions")
-        if info_idx.size == 0 or info_idx[0] < 0 or info_idx[-1] >= spec.n_mother:
-            raise ValueError("information set must be non-empty within [1, N]")
-        if decoder.crc_len >= info_idx.size and decoder.crc_len:
-            raise ValueError("information set too small to carry the CRC")
+        info_idx = decoder.build(spec, info_set).info_idx
         if effective_rate is None:
             effective_rate = spec.k_info / pattern.n_transmitted
         if model.kind == "awgn_bpsk":  # a point with no usable noise fails here

@@ -113,8 +113,9 @@ def vector_to_pattern(candidate, n_p: int, spec: CodeSpec,
         raise ValueError(
             f"candidate length {candidate.size} does not match D={bits.size} "
             f"({'reduced' if reduced else 'full'} space, N={spec.n_mother})")
-    if not 1 <= n_p <= candidate.size:
-        raise ValueError(f"n_p={n_p} must lie in [1, D={candidate.size}]")
+    high = min(bits.size, spec.n_mother - 1)  # a pattern keeps one bit
+    if not 1 <= n_p <= high:
+        raise ValueError(f"n_p={n_p} must lie in [1, {high}]")
     cols = np.argsort(-candidate, kind="stable")[:n_p]
     return PuncturingPattern(spec.n_mother, tuple(int(b) for b in bits[cols]))
 

@@ -96,6 +96,17 @@ def test_optimize_rejects_bad_counts_before_searching(tmp_path, capsys, flag, va
     assert not (tmp_path / "opt.json.log").exists()
 
 
+@pytest.mark.parametrize("f", ["nan", "inf"])
+def test_optimize_rejects_non_finite_mutation_factor(tmp_path, capsys, f):
+    out = tmp_path / "opt.json"
+    rc = main(["optimize", "--n", "16", "--k", "8", "--np", "4", "--ebn0", "3",
+               "--pop-size", "4", "--max-iters", "1", "--trials", "100",
+               "--f", f, "--out", str(out)])
+    assert rc == 3
+    assert "scale must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 _NP_COMMANDS = {
     "pattern": ["pattern", "--method", "qup", "--n", "16", "--k", "8", "--ebn0", "3"],
     "optimize": ["optimize", "--n", "16", "--k", "8", "--ebn0", "3", "--pop-size", "4",
@@ -221,6 +232,20 @@ def test_scl_list_size_defaults_to_8(tmp_path):
                     + extra) == 0
         curves.append(out.read_bytes())
     assert curves[0] == curves[1] != curves[2]
+
+
+def test_scl_with_one_path_writes_the_sc_rows(tmp_path):
+    # one path is SC, so both runs decode with SC's walk
+    pattern = str(reference_pattern_path("de_n64_k32_np24.json"))
+    rows = []
+    for decoder in (["sc"], ["scl", "--list-size", "1"]):
+        out = tmp_path / f"{decoder[0]}.csv"
+        assert main(["evaluate", "--pattern", pattern, "--ebn0", "3,5",
+                     "--trials", "3000", "--seed", "4", "--decoder", *decoder,
+                     "--out", str(out)]) == 0
+        rows.append(out.read_bytes())
+    assert rows[0] == rows[1]
+    assert int(read_csv(tmp_path / "sc.csv")[1][2]) > 0  # errors were compared
 
 
 _BAD_COUNTS = [(flag, value)

@@ -110,6 +110,12 @@ def test_sc_llr_length_validation():
         SCDecoder(CodeSpec(8, 8), range(1, 9)).decode(np.zeros((1, 7)))
     with pytest.raises(ValueError):
         SCDecoder(CodeSpec(8, 8), (9,))
+    # every decoder validates its information set: distinct and non-empty
+    for decoder in (SCDecoder, SCLDecoder):
+        with pytest.raises(ValueError, match="duplicate"):
+            decoder(CodeSpec(8, 3), (3, 3, 5))
+        with pytest.raises(ValueError, match="non-empty"):
+            decoder(CodeSpec(8, 1), ())
 
 
 def _noisy_frames(spec, info, ebn0_db, count, seed, pattern=None):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ def test_config_validation():
         DeConfig(pop_size=3)
     with pytest.raises(ValueError):
         DeConfig(pop_size=8, crossover=1.2)
-    with pytest.raises(ValueError):
-        DeConfig(pop_size=8, scale=0.0)
+    for scale in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            DeConfig(pop_size=8, scale=scale)
     with pytest.raises(ValueError):
         DeConfig(pop_size=8, seed_policy="fancy")
 
@@ -64,10 +66,13 @@ def test_init_population_np_too_large():
         init_population(SPEC8, 4, small_config())  # reduced space has D=3
 
 
-@pytest.mark.parametrize("n_p", [0, 4])
-def test_search_rejects_n_p_outside_dimension_before_opening_a_pool(pools_made, n_p):
+# the reduced space has D=3; the full space has D=N=8, but a pattern keeps a bit
+@pytest.mark.parametrize("n_p,reduced", [(0, True), (4, True), (8, False)],
+                         ids=["0", "4", "full-8"])
+def test_search_rejects_n_p_outside_dimension_before_opening_a_pool(pools_made, n_p,
+                                                                    reduced):
     with pytest.raises(ValueError, match="n_p"):
-        de_optimize(SPEC8, n_p, small_config(workers=2))  # reduced space has D=3
+        de_optimize(SPEC8, n_p, small_config(workers=2, reduced_space=reduced))
     assert pools_made == []
 
 

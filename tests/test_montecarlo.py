@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,17 +24,15 @@ def test_channel_model_validation():
 
 
 def test_decoder_config_validation():
-    DecoderConfig("sc")
-    DecoderConfig("scl", list_size=8, crc_len=16)
-    with pytest.raises(ValueError):
-        DecoderConfig("sc", list_size=4)
-    with pytest.raises(ValueError):
-        DecoderConfig("turbo")
+    assert [f.name for f in dataclasses.fields(DecoderConfig)] == ["list_size", "crc_len"]
+    DecoderConfig()
+    DecoderConfig(list_size=8, crc_len=16)
+    DecoderConfig(list_size=1, crc_len=16)
     for list_size in (0, -2):
         with pytest.raises(ValueError):
-            DecoderConfig("scl", list_size=list_size)
+            DecoderConfig(list_size=list_size)
     with pytest.raises(ValueError):
-        DecoderConfig("scl", list_size=8, crc_len=8)
+        DecoderConfig(list_size=8, crc_len=8)
 
 
 def test_noise_variance_at_0db_rate_half():
@@ -142,10 +141,11 @@ def test_simulate_validation():
     with pytest.raises(ValueError):
         simulate(spec, PuncturingPattern(16, ()), (4, 6, 7, 8),
                  ChannelModel.awgn(1.0), trials=10)
-    with pytest.raises(ValueError, match="too small to carry the CRC"):
-        simulate(CodeSpec(32, 16), PuncturingPattern(32, ()), tuple(range(17, 33)),
-                 ChannelModel.awgn(1.0),
-                 decoder=DecoderConfig("scl", list_size=2, crc_len=16), trials=10)
+    for list_size in (1, 2):
+        with pytest.raises(ValueError, match="too small to carry the CRC"):
+            simulate(CodeSpec(32, 16), PuncturingPattern(32, ()), tuple(range(17, 33)),
+                     ChannelModel.awgn(1.0),
+                     decoder=DecoderConfig(list_size=list_size, crc_len=16), trials=10)
 
 
 def test_simulate_scl_with_crc_runs():
@@ -153,7 +153,7 @@ def test_simulate_scl_with_crc_runs():
     pattern = qup_pattern(spec, 8)
     info = tuple(range(13, 33))
     rep = simulate(spec, pattern, info, ChannelModel.awgn(4.0),
-                   decoder=DecoderConfig("scl", list_size=4, crc_len=16),
+                   decoder=DecoderConfig(list_size=4, crc_len=16),
                    trials=2000, seed=9)
     assert 0.0 <= rep.bler <= 1.0
 
@@ -239,7 +239,7 @@ def _oracle_chunk(job):
     llr[:, pattern.zero_based()] = 0.0
 
     info_set = tuple(int(i) + 1 for i in info_idx)
-    if decoder.kind == "sc":
+    if decoder.list_size == 1 and not decoder.crc_len:
         u_hat = SCDecoder(spec, info_set).decode(llr)
     else:
         u_hat, _ = SCLDecoder(spec, info_set, list_size=decoder.list_size,
@@ -256,13 +256,16 @@ _CHUNK_CASES = [
     (8, 4, 2, "qup", ChannelModel.awgn(math.inf), _SC, 45, 16),
     (16, 8, 5, "random", ChannelModel.awgn(1.0), _SC, 300, 128),
     (32, 24, 8, "qup", ChannelModel.awgn(4.0),
-     DecoderConfig("scl", list_size=4, crc_len=16), 300, 128),
+     DecoderConfig(list_size=4, crc_len=16), 300, 128),
+    # one path with a CRC: the chunk walks SC, the oracle one-path SCL
+    (32, 24, 8, "random", ChannelModel.awgn(2.0),
+     DecoderConfig(list_size=1, crc_len=16), 300, 128),
     (64, 32, 24, "random", ChannelModel.awgn(1.0),
-     DecoderConfig("scl", list_size=4), 300, 128),
+     DecoderConfig(list_size=4), 300, 128),
     (64, 32, 24, "qup", ChannelModel.bec(0.4),
-     DecoderConfig("scl", list_size=8, crc_len=16), 300, 128),
+     DecoderConfig(list_size=8, crc_len=16), 300, 128),
     (128, 64, 28, "random", ChannelModel.awgn(4.0),
-     DecoderConfig("scl", list_size=8, crc_len=16), 200, 96),
+     DecoderConfig(list_size=8, crc_len=16), 200, 96),
     (128, 64, 28, "qup", ChannelModel.awgn(1.0), _SC, 200, 96),
     (256, 128, 0, "qup", ChannelModel.awgn(1.0), _SC, 200, 96),
     (512, 256, 100, "random", ChannelModel.bec(0.3), _SC, 100, 48),
@@ -276,7 +279,8 @@ _CHUNK_CASES = [
 # that they stay stable.
 @pytest.mark.parametrize("case", _CHUNK_CASES, ids=lambda c: f"N{c[0]}-{c[3]}-"
                          f"{c[4].kind}{c[4].ebn0_db if c[4].kind != 'bec' else c[4].epsilon}-"
-                         f"{c[5].kind}{c[5].list_size}crc{c[5].crc_len}-random")
+                         f"{'sc' if c[5].list_size == 1 else 'scl'}{c[5].list_size}"
+                         f"crc{c[5].crc_len}-random")
 def test_chunk_matches_independent_oracle(case):
     n, k, n_p, kind, model, decoder, trials, chunk = case
     spec = CodeSpec(n, k)

@@ -133,6 +133,8 @@ def test_vector_to_pattern_validation():
         vector_to_pattern(np.zeros(4), 2, spec, reduced=True)  # D must be 3
     with pytest.raises(ValueError):
         vector_to_pattern(np.zeros(3), 4, spec, reduced=True)  # n_p > D
+    with pytest.raises(ValueError, match="n_p=8"):  # D = N, but a bit must stay
+        vector_to_pattern(np.zeros(8), 8, spec, reduced=False)
     for n_p in (-1, 0):
         with pytest.raises(ValueError):
             vector_to_pattern(np.zeros(3), n_p, spec, reduced=True)
