@@ -155,15 +155,22 @@ def noise_variance(ebn0_db: float, effective_rate: float) -> float:
     return sigma2
 
 
+def design_noise_variance(design_ebn0_db: float, effective_rate: float) -> float:
+    """``noise_variance`` at a design Eb/N0, which must give a finite positive
+    variance: the GA construction has no noiseless limit."""
+    sigma2 = noise_variance(design_ebn0_db, effective_rate)
+    if sigma2 == 0.0:
+        raise ValueError("design Eb/N0 must be finite for the GA construction")
+    return sigma2
+
+
 def ga_llr_means(spec: CodeSpec, design_ebn0_db: float,
                  pattern: PuncturingPattern,
                  effective_rate: float) -> ReliabilityVector:
     """Mean decision LLRs of the input bit-channels under the Gaussian
     approximation, with punctured coded bits entering at mean 0."""
     _check_pattern(spec, pattern)
-    sigma2 = noise_variance(design_ebn0_db, effective_rate)
-    if sigma2 == 0.0:
-        raise ValueError("design Eb/N0 must be finite for the GA construction")
+    sigma2 = design_noise_variance(design_ebn0_db, effective_rate)
     mu = np.full(spec.n_mother, 2.0 / sigma2)
     mu[pattern.zero_based()] = 0.0
     mu = mu[bit_reversal_permutation(spec.m)]

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construction import design_noise_variance
 from .core import CodeSpec
 from .montecarlo import (ChannelModel, SimulationRun, derive_seed,
                          matched_information_set, run_batch, worker_pool)
-from .puncturing import PuncturingPattern, candidate_bits, vector_to_pattern
+from .puncturing import (PuncturingPattern, candidate_bits, check_np,
+                         vector_to_pattern)
 
 # a generation whose relative improvement of the best objective is below this
 # counts toward the stall
@@ -129,31 +131,40 @@ def make_trial(genes: np.ndarray, i: int, config: DeConfig,
 
 
 class _Evaluator:
-    """Objective evaluation with caching keyed by (pattern, seed).
+    """The one place a gene row becomes a scored pattern, with caching keyed
+    by (pattern, seed).
 
-    Distinct genotypes projecting onto the same pattern share one Monte Carlo
-    run per evaluation seed.  ``evaluate`` scores a batch of patterns: this
-    process selects the information set of every uncached one, then the Monte
-    Carlo chunks of all of them run as one batch on ``pool`` (in-process when
-    ``pool`` is None).
+    The constructor checks every input that scoring depends on, so a search
+    builds it before it opens a pool: n_p must pass ``check_np`` over the
+    ``dimension`` candidate bits of the search space, and the design Eb/N0
+    must give a finite positive noise variance at the design rate
+    K/(N - n_p), as the GA construction needs.  ``pool`` stays None (score in
+    this process) until the search sets it to its open pool.  Distinct
+    genotypes projecting onto the same pattern share one Monte Carlo run per
+    evaluation seed.
     """
 
-    def __init__(self, spec: CodeSpec, config: DeConfig, pool):
-        self.spec = spec
-        self.config = config
+    def __init__(self, spec: CodeSpec, n_p: int, config: DeConfig):
+        self.dimension = candidate_bits(spec, config.reduced_space).size
+        check_np(spec, n_p, self.dimension)
+        design_noise_variance(config.ebn0_db, spec.k_info / (spec.n_mother - n_p))
+        self.spec, self.n_p, self.config = spec, n_p, config
         self.model = ChannelModel.awgn(config.ebn0_db)
-        self.pool = pool
+        self.pool = None
         self.cache: dict = {}
         self.evaluations = 0
 
-    def evaluate(self, patterns: list[PuncturingPattern],
-                 seed: int) -> list[tuple[tuple[int, ...], float]]:
-        """(information set, objective) of each pattern under ``seed``."""
+    def score(self, genes, seed: int) -> list[tuple]:
+        """(pattern, information set, objective) of each gene row under
+        ``seed``.  Each row is projected with ``vector_to_pattern``; this
+        process selects the information set of every uncached pattern, then
+        the Monte Carlo chunks of all of them run as one batch on the pool."""
+        patterns = [vector_to_pattern(row, self.n_p, self.spec,
+                                      reduced=self.config.reduced_space)
+                    for row in genes]
         keys = [(pattern.indices, seed) for pattern in patterns]
-        todo: dict = {}
-        for key, pattern in zip(keys, patterns):
-            if key not in self.cache:
-                todo.setdefault(key, pattern)
+        todo = {key: pattern for key, pattern in zip(keys, patterns)
+                if key not in self.cache}
         infos = [matched_information_set(self.spec, pattern, self.model)
                  for pattern in todo.values()]
         runs = [SimulationRun.plan(self.spec, pattern, info, self.model,
@@ -162,7 +173,7 @@ class _Evaluator:
         for key, info, report in zip(todo, infos, run_batch(runs, self.pool)):
             self.cache[key] = (info, report.objective)
         self.evaluations += len(todo)
-        return [self.cache[key] for key in keys]
+        return [(pattern, *self.cache[key]) for pattern, key in zip(patterns, keys)]
 
 
 def evaluation_seed(master_seed: int, generation: int) -> int:
@@ -179,21 +190,20 @@ def _generation_seed(config: DeConfig, generation: int) -> int:
 def init_population(spec: CodeSpec, n_p: int, config: DeConfig,
                     rng: np.random.Generator | None = None,
                     evaluator: _Evaluator | None = None) -> Population:
-    """Population of pop_size x D genes i.i.d. uniform on [0, 1], with the
-    objective of every row already evaluated (generation-0 seed).  Without an
-    ``evaluator`` the rows are evaluated in this process, whatever
+    """Population of pop_size x D genes i.i.d. uniform on [0, 1], with every
+    row scored by ``_Evaluator.score`` under the generation-0 seed.  Without
+    an ``evaluator`` one is built here, which checks n_p and the design
+    Eb/N0, and the rows are scored in this process, whatever
     ``config.workers`` is."""
-    dim = candidate_bits(spec, config.reduced_space).size
+    if evaluator is None:
+        evaluator = _Evaluator(spec, n_p, config)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
-    if evaluator is None:
-        evaluator = _Evaluator(spec, config, None)
-    genes = rng.random((config.pop_size, dim))
-    patterns = [vector_to_pattern(row, n_p, spec, reduced=config.reduced_space)
-                for row in genes]
-    scored = evaluator.evaluate(patterns, _generation_seed(config, 0))
-    return Population(genes=genes, objectives=np.array([v for _, v in scored]),
-                      patterns=patterns, info_sets=[info for info, _ in scored])
+    genes = rng.random((config.pop_size, evaluator.dimension))
+    scored = evaluator.score(genes, _generation_seed(config, 0))
+    patterns, info_sets, values = zip(*scored)
+    return Population(genes=genes, objectives=np.array(values),
+                      patterns=list(patterns), info_sets=list(info_sets))
 
 
 def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
@@ -211,17 +221,18 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     With ``log_path`` the run log gets one JSON line per generation, 0
     included: ``generation``, ``best_objective`` and ``best_pattern``.  The
     file is opened once generation 0 has been scored.
+
+    n_p and the design Eb/N0 are checked by building the ``_Evaluator``
+    before the pool opens, so bad input raises ValueError with no pool made
+    and no log written.  Rows are scored only in ``_Evaluator.score``.
     """
-    high = min(candidate_bits(spec, config.reduced_space).size, spec.n_mother - 1)
-    if not 1 <= n_p <= high:  # before any pool is opened
-        raise ValueError(f"n_p={n_p} must lie in [1, {high}]")
+    evaluator = _Evaluator(spec, n_p, config)
     rng = np.random.Generator(np.random.Philox(key=[config.master_seed, 0]))
     rows = list(range(config.pop_size))
     # in_place: each replacement is visible to the next row's trial vector
     batches = [[i] for i in rows] if config.in_place else [rows]
     with contextlib.ExitStack() as stack:
-        evaluator = _Evaluator(spec, config,
-                               stack.enter_context(worker_pool(config.workers)))
+        evaluator.pool = stack.enter_context(worker_pool(config.workers))
         pop = init_population(spec, n_p, config, rng=rng, evaluator=evaluator)
         log = stack.enter_context(open(log_path, "w")) if log_path else None
         history, stall = [], 0
@@ -229,7 +240,7 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
             if generation:
                 seed = _generation_seed(config, generation)
                 for batch in batches:
-                    _select(pop, batch, n_p, evaluator, rng, seed)
+                    _select(pop, batch, evaluator, rng, seed)
             best_idx = int(np.argmin(pop.objectives))
             best = float(pop.objectives[best_idx])
             if history:
@@ -256,25 +267,24 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     return result
 
 
-def _select(pop: Population, rows: list[int], n_p: int, evaluator: _Evaluator,
+def _select(pop: Population, rows: list[int], evaluator: _Evaluator,
             rng: np.random.Generator, seed: int) -> None:
     """Greedy selection of each row against its rand/1/bin trial vector.
 
-    The rows' trial vectors are drawn in row order, then their patterns (and,
-    with ``fresh_incumbents``, the incumbents) are evaluated as one batch.
-    Rows are compared independently, so replacing a row here equals staging
-    every replacement to the end of the batch.
+    The rows' trial vectors are drawn in row order, then scored as one batch
+    by ``_Evaluator.score`` together with, under ``fresh_incumbents``, the
+    incumbent rows (which project onto their cached patterns).  Rows are
+    compared independently, so replacing a row here equals staging every
+    replacement to the end of the batch.
     """
-    spec, config = evaluator.spec, evaluator.config
+    config = evaluator.config
     trials = [make_trial(pop.genes, i, config, rng) for i in rows]
-    patterns = [vector_to_pattern(trial, n_p, spec, reduced=config.reduced_space)
-                for trial in trials]
-    incumbents = [pop.patterns[i] for i in rows] if config.fresh_incumbents else []
-    scored = evaluator.evaluate(patterns + incumbents, seed)
-    for i, (info, value) in zip(rows, scored[len(rows):]):
+    incumbents = [pop.genes[i] for i in rows] if config.fresh_incumbents else []
+    scored = evaluator.score(trials + incumbents, seed)
+    for i, (_, info, value) in zip(rows, scored[len(rows):]):
         pop.info_sets[i] = info
         pop.objectives[i] = value
-    for i, trial, pattern, (info, value) in zip(rows, trials, patterns, scored):
+    for i, trial, (pattern, info, value) in zip(rows, trials, scored):
         if value < pop.objectives[i]:
             pop.genes[i] = trial
             pop.patterns[i] = pattern

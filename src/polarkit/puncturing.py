@@ -55,22 +55,27 @@ class PuncturingPattern:
 
 def qup_pattern(spec: CodeSpec, n_p: int) -> PuncturingPattern:
     """Quasi-uniform puncturing: bit-reversed images of the first n_p integers."""
-    _check_np(spec, n_p)
+    check_np(spec, n_p)
     idx = {bit_reverse(i, spec.m) + 1 for i in range(n_p)}
     return PuncturingPattern(spec.n_mother, tuple(idx))
 
 
 def rqup_pattern(spec: CodeSpec, n_p: int) -> PuncturingPattern:
     """Reversal variant: bit-reversed images of the last n_p integers."""
-    _check_np(spec, n_p)
+    check_np(spec, n_p)
     n = spec.n_mother
     idx = {bit_reverse(i, spec.m) + 1 for i in range(n - n_p, n)}
     return PuncturingPattern(n, tuple(idx))
 
 
-def _check_np(spec: CodeSpec, n_p: int) -> None:
-    if not 0 < n_p < spec.n_mother:
-        raise ValueError(f"n_p must be in (0, {spec.n_mother}), got {n_p}")
+def check_np(spec: CodeSpec, n_p: int, dimension: float = np.inf) -> None:
+    """Require 1 <= n_p <= N - K, so that the N - n_p transmitted bits carry
+    the K information bits (a code of rate at most 1), and n_p <= ``dimension``
+    for a search over that many candidate bits.  Since K >= 1, a pattern always
+    keeps a coded bit."""
+    high = min(spec.n_mother - spec.k_info, dimension)
+    if not 1 <= n_p <= high:
+        raise ValueError(f"n_p={n_p} must lie in [1, {high}]")
 
 
 def candidate_bits(spec: CodeSpec, reduced: bool = True) -> np.ndarray:
@@ -103,7 +108,8 @@ def vector_to_pattern(candidate, n_p: int, spec: CodeSpec,
     """Project a real-valued candidate vector onto a puncturing pattern.
 
     The n_p largest entries win (ties broken toward the lower column); column
-    j stands for ``candidate_bits(spec, reduced)[j]``.
+    j stands for ``candidate_bits(spec, reduced)[j]``.  n_p must pass
+    ``check_np`` over the D candidate bits.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     if candidate.ndim != 1:
@@ -113,9 +119,7 @@ def vector_to_pattern(candidate, n_p: int, spec: CodeSpec,
         raise ValueError(
             f"candidate length {candidate.size} does not match D={bits.size} "
             f"({'reduced' if reduced else 'full'} space, N={spec.n_mother})")
-    high = min(bits.size, spec.n_mother - 1)  # a pattern keeps one bit
-    if not 1 <= n_p <= high:
-        raise ValueError(f"n_p={n_p} must lie in [1, {high}]")
+    check_np(spec, n_p, bits.size)
     cols = np.argsort(-candidate, kind="stable")[:n_p]
     return PuncturingPattern(spec.n_mother, tuple(int(b) for b in bits[cols]))
 

@@ -107,18 +107,22 @@ def test_optimize_rejects_non_finite_mutation_factor(tmp_path, capsys, f):
     assert list(tmp_path.iterdir()) == []
 
 
-_NP_COMMANDS = {
-    "pattern": ["pattern", "--method", "qup", "--n", "16", "--k", "8", "--ebn0", "3"],
-    "optimize": ["optimize", "--n", "16", "--k", "8", "--ebn0", "3", "--pop-size", "4",
-                 "--max-iters", "1", "--trials", "100"],
-}
+_PATTERN = ["pattern", "--method", "qup", "--n", "16", "--ebn0", "3"]
+_OPTIMIZE = ["optimize", "--n", "16", "--ebn0", "3", "--pop-size", "4",
+             "--max-iters", "1", "--trials", "100"]
+_NP_COMMANDS = {"pattern": _PATTERN + ["--k", "8"], "optimize": _OPTIMIZE + ["--k", "8"],
+                "pattern-k16": _PATTERN + ["--k", "16"],
+                "optimize-k16": _OPTIMIZE + ["--k", "16"]}
 
 
-# the upper bound depends on N: n_p < N for pattern, n_p <= D = N/2 - 1 for
-# optimize, so a value above it is a domain error rather than a usage error
+# the upper bound depends on N and K: n_p <= N - K for pattern, and also
+# n_p <= D = N/2 - 1 for optimize, so a value above it is a domain error rather
+# than a usage error; K = N leaves no bit to puncture
 @pytest.mark.parametrize("command,n_p,code", [
     ("pattern", "0", 1), ("pattern", "-2", 1), ("pattern", "20", 3),
-    ("optimize", "0", 1), ("optimize", "-2", 1), ("optimize", "8", 3)])
+    ("pattern-k16", "4", 3),
+    ("optimize", "0", 1), ("optimize", "-2", 1), ("optimize", "8", 3),
+    ("optimize-k16", "4", 3)])
 def test_np_below_one_is_usage_error_and_above_the_bound_domain_error(
         tmp_path, capsys, command, n_p, code):
     out = tmp_path / "x.json"

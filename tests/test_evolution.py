@@ -66,13 +66,21 @@ def test_init_population_np_too_large():
         init_population(SPEC8, 4, small_config())  # reduced space has D=3
 
 
-# the reduced space has D=3; the full space has D=N=8, but a pattern keeps a bit
-@pytest.mark.parametrize("n_p,reduced", [(0, True), (4, True), (8, False)],
-                         ids=["0", "4", "full-8"])
+# the reduced space has D=3; the full space has D=N=8, but n_p is at most N - K = 4
+@pytest.mark.parametrize("n_p,reduced", [(0, True), (4, True), (8, False), (5, False)],
+                         ids=["0", "4", "full-8", "full-5"])
 def test_search_rejects_n_p_outside_dimension_before_opening_a_pool(pools_made, n_p,
                                                                     reduced):
     with pytest.raises(ValueError, match="n_p"):
         de_optimize(SPEC8, n_p, small_config(workers=2, reduced_space=reduced))
+    assert pools_made == []
+
+
+# none of these gives a finite positive design noise variance, which the GA needs
+@pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf, 1e308, 3080.0])
+def test_search_rejects_design_ebn0_before_opening_a_pool(pools_made, ebn0_db):
+    with pytest.raises(ValueError, match="Eb/N0"):
+        de_optimize(SPEC8, 2, small_config(workers=2, ebn0_db=ebn0_db))
     assert pools_made == []
 
 

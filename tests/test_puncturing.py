@@ -46,12 +46,14 @@ def test_qup_rqup_disjoint_for_small_np():
 
 
 def test_np_range_validation():
-    spec = CodeSpec(8, 4)
-    for bad in (0, 8, 9, -1):
-        with pytest.raises(ValueError):
+    # n_p lies in [1, N - K], so that the N - n_p transmitted bits carry K
+    cases = [(CodeSpec(8, 4), n_p) for n_p in (0, 5, 8, 9, -1)] + [(CodeSpec(16, 12), 5)]
+    for spec, bad in cases:
+        with pytest.raises(ValueError, match=f"n_p={bad}"):
             qup_pattern(spec, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"n_p={bad}"):
             rqup_pattern(spec, bad)
+    assert qup_pattern(CodeSpec(16, 12), 4).n_transmitted == 12
 
 
 def forbidden(spec):
@@ -135,6 +137,8 @@ def test_vector_to_pattern_validation():
         vector_to_pattern(np.zeros(3), 4, spec, reduced=True)  # n_p > D
     with pytest.raises(ValueError, match="n_p=8"):  # D = N, but a bit must stay
         vector_to_pattern(np.zeros(8), 8, spec, reduced=False)
+    with pytest.raises(ValueError, match="n_p=5"):  # D = 7, but N - K = 4
+        vector_to_pattern(np.zeros(7), 5, CodeSpec(16, 12), reduced=True)
     for n_p in (-1, 0):
         with pytest.raises(ValueError):
             vector_to_pattern(np.zeros(3), n_p, spec, reduced=True)
