@@ -186,7 +186,20 @@ def main(argv=None) -> int:
         return 3
 
 
+def _check_writable(*paths: str) -> None:
+    """Refuse, as an I/O error, an output path whose directory is missing or
+    that is itself a directory.  Commands call this before any other work, so
+    such a path costs no search or simulation and leaves no file behind."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {str(path)!r} is a directory")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"output directory {str(path.parent)!r} does not exist")
+
+
 def _cmd_optimize(args) -> None:
+    log_path = args.log if args.log is not None else f"{args.out}.log"
+    _check_writable(args.out, log_path)
     spec = CodeSpec(args.n, args.k)
     config = DeConfig(
         pop_size=args.pop_size,
@@ -202,7 +215,6 @@ def _cmd_optimize(args) -> None:
         confirm_trials=args.confirm_trials or None,
         workers=args.workers,
     )
-    log_path = args.log if args.log is not None else f"{args.out}.log"
     result = de_optimize(spec, args.n_p, config, log_path=log_path)
     provenance = (
         f"differential-evolution search: n={args.n} k={args.k} np={args.n_p} "
@@ -222,6 +234,7 @@ def _cmd_optimize(args) -> None:
 
 
 def _cmd_pattern(args) -> None:
+    _check_writable(args.out)
     if args.method == "file":
         if not args.infile:
             raise UsageError("--method file requires --in")
@@ -268,13 +281,14 @@ def _sweep(paths: list[str], args) -> list[list]:
     """Rows, pattern by pattern and labelled by file stem, of the sweep of
     ``args.ebn0`` over the pattern files ``paths``.
 
-    Every file and every point's first increment is checked before any
-    frame is simulated.  The points then run in rounds on one pool: a round
-    sends the next increment of every point still running to ``run_batch``
-    in one call.  A point leaves once it reaches ``--trials`` or
-    ``--max-block-errors``.  It tallies its own increments in order, so the
+    The output path, every file and every point's first increment are
+    checked before any frame is simulated.  The points then run in rounds on
+    one pool: a round sends the next increment of every point still running
+    to ``run_batch`` in one call.  A point leaves once it reaches ``--trials``
+    or ``--max-block-errors``.  It tallies its own increments in order, so the
     rows depend neither on the other points nor on ``--workers``.
     """
+    _check_writable(args.out)
     snrs = _parse_snrs(args.ebn0)
     loaded = [load_pattern(path)[:2] for path in paths]
     sizes = {pattern.n_mother for pattern, _ in loaded}

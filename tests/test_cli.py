@@ -1,12 +1,15 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from polarkit import load_pattern, montecarlo, reference_pattern_path
+from polarkit import (CodeSpec, DeConfig, de_optimize, load_pattern, montecarlo,
+                      reference_pattern_path)
 from polarkit.cli import main
 
 CSV_HEADER = ["ebn0_db", "blocks", "block_errors", "bit_errors", "bler", "ber", "seed"]
+DE64 = str(reference_pattern_path("de_n64_k32_np24.json"))
 
 
 def read_csv(path):
@@ -62,22 +65,55 @@ def test_pattern_rejects_nan_design_snr(tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.fixture
+def chunks_simulated(monkeypatch):
+    """Every Monte Carlo chunk simulated in this process."""
+    chunks = []
+    real_chunk = montecarlo._simulate_chunk
+
+    def counting_chunk(job):
+        chunks.append(job)
+        return real_chunk(job)
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", counting_chunk)
+    return chunks
+
+
+# search-mode flags -> the DeConfig fields they must set; at these settings the
+# three searches differ in history, and so do the second and third with any one
+# of their fields left out
+_SEARCH_MODES = [([], {}),
+                 (["--in-place", "--fresh-incumbents"],
+                  dict(in_place=True, fresh_incumbents=True)),
+                 (["--full-space"], dict(reduced_space=False))]
+
+
 def test_optimize_writes_pattern_and_log(tmp_path):
-    out = tmp_path / "opt.json"
-    rc = main(["optimize", "--n", "8", "--k", "4", "--np", "2", "--ebn0", "3",
-               "--pop-size", "4", "--cr", "0.8", "--f", "0.6",
-               "--max-iters", "2", "--trials", "500", "--confirm-trials", "0",
-               "--seed", "11", "--out", str(out)])
-    assert rc == 0
-    pattern, info, prov = load_pattern(out)
-    assert pattern.n_p == 2
-    assert len(info) == 4
-    for token in ("seed=11", "pop_size=4", "cr=0.8", "f=0.6", "trials=500"):
-        assert token in prov
-    log_lines = (tmp_path / "opt.json.log").read_text().strip().splitlines()
-    assert log_lines
-    record = json.loads(log_lines[0])
-    assert set(record) == {"generation", "best_objective", "best_pattern"}
+    for mode, (flags, fields) in enumerate(_SEARCH_MODES):
+        config = DeConfig(pop_size=6, crossover=0.8, scale=0.6, max_iters=3,
+                          ebn0_db=3.0, trials=500, confirm_trials=1000, master_seed=11,
+                          **fields)
+        result = de_optimize(CodeSpec(16, 8), 4, config)
+        files = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"opt{mode}-{workers}.json"
+            rc = main(["optimize", "--n", "16", "--k", "8", "--np", "4", "--ebn0", "3",
+                       "--pop-size", "6", "--cr", "0.8", "--f", "0.6",
+                       "--max-iters", "3", "--trials", "500", "--confirm-trials", "1000",
+                       "--seed", "11", "--workers", workers, "--out", str(out)] + flags)
+            assert rc == 0
+            files.append((out.read_bytes(), Path(f"{out}.log").read_bytes()))
+        # neither the pattern file nor the log depends on --workers
+        assert files[0] == files[1]
+        pattern, info, prov = load_pattern(out)
+        assert (pattern.indices, info) == (result.pattern.indices, result.info_set)
+        for token in ("seed=11", "pop_size=6", "cr=0.8", "f=0.6", "trials=500",
+                      f"confirmed_objective={result.confirmed_objective!r}"):
+            assert token in prov
+        records = [json.loads(line) for line in files[0][1].decode().splitlines()]
+        assert all(set(record) == {"generation", "best_objective", "best_pattern"}
+                   for record in records)
+        assert [record["best_objective"] for record in records] == result.history
 
 
 @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
@@ -339,26 +375,44 @@ def test_unknown_command_and_empty_invocation():
     assert main([]) == 1
 
 
-def test_unwritable_output_is_io_error(tmp_path):
-    pat = tmp_path / "p.json"
-    main(["pattern", "--method", "qup", "--n", "8", "--k", "4", "--np", "2",
-          "--ebn0", "3", "--out", str(pat)])
-    rc = main(["evaluate", "--pattern", str(pat), "--ebn0", "",
-               "--trials", "10", "--out", str(tmp_path / "no_dir" / "x.csv")])
-    assert rc == 2
+def test_unwritable_output_is_io_error(tmp_path, capsys, chunks_simulated):
+    # an output path whose directory is missing, or that is a directory, fails
+    # before any pattern file is loaded or any frame is simulated
+    missing = str(tmp_path / "no_dir" / "x")
+    sweep = ["--ebn0", "2,3", "--trials", "2000", "--max-block-errors", "100000"]
+    search = ["optimize", "--n", "16", "--k", "8", "--np", "4", "--ebn0", "3",
+              "--pop-size", "4", "--max-iters", "1", "--trials", "500",
+              "--confirm-trials", "2000"]
+    for argv in (["evaluate", "--pattern", DE64, "--ebn0", "", "--out", missing],
+                 ["evaluate", "--pattern", DE64, *sweep, "--out", missing],
+                 ["evaluate", "--pattern", DE64, *sweep, "--out", str(tmp_path)],
+                 ["compare", "--patterns", DE64, DE64, *sweep, "--out", missing],
+                 search + ["--out", missing, "--log", str(tmp_path / "o.log")],
+                 search + ["--out", str(tmp_path / "o.json"), "--log", missing],
+                 search + ["--out", str(tmp_path / "o.json"), "--log", str(tmp_path)],
+                 ["pattern", "--method", "file", "--in", DE64, "--out", missing]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+    assert chunks_simulated == []
+    assert list(tmp_path.iterdir()) == []
 
 
 _EBN0_COMMANDS = {
     "pattern": ["pattern", "--method", "qup", "--n", "16", "--k", "8", "--np", "4"],
-    "evaluate": ["evaluate", "--pattern", str(reference_pattern_path("de_n64_k32_np24.json")),
-                 "--trials", "100"],
+    "evaluate": ["evaluate", "--pattern", DE64, "--trials", "100"],
     "optimize": ["optimize", "--n", "16", "--k", "8", "--np", "4", "--pop-size", "4",
                  "--max-iters", "1", "--trials", "100"],
 }
 
 
-@pytest.mark.parametrize("ebn0", ["-inf", "-1e308", "1e308", "3080"])
-@pytest.mark.parametrize("command", sorted(_EBN0_COMMANDS))
+# the search checks its design Eb/N0 itself, nan included; pattern and evaluate
+# reject a nan Eb/N0 with their channel model (test_pattern_rejects_nan_design_snr,
+# test_bad_snr_fails_before_any_frame_is_simulated)
+_NO_VARIANCE = [(command, ebn0) for command in sorted(_EBN0_COMMANDS)
+                for ebn0 in ("-inf", "-1e308", "1e308", "3080")] + [("optimize", "nan")]
+
+
+@pytest.mark.parametrize("command,ebn0", _NO_VARIANCE)
 def test_snr_without_finite_noise_variance_is_domain_error(tmp_path, capsys, command,
                                                            ebn0):
     rc = main(_EBN0_COMMANDS[command] + [f"--ebn0={ebn0}", "--out", str(tmp_path / "x")])
@@ -369,21 +423,13 @@ def test_snr_without_finite_noise_variance_is_domain_error(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("ebn0", ["2,nan", "2,-inf"])
-def test_bad_snr_fails_before_any_frame_is_simulated(tmp_path, monkeypatch, ebn0):
-    chunks = []
-    real_chunk = montecarlo._simulate_chunk
-
-    def counting_chunk(job):
-        chunks.append(job)
-        return real_chunk(job)
-
-    monkeypatch.setattr(montecarlo, "_simulate_chunk", counting_chunk)
+def test_bad_snr_fails_before_any_frame_is_simulated(tmp_path, chunks_simulated, ebn0):
     out = tmp_path / "x.csv"
     rc = main(_EBN0_COMMANDS["evaluate"] + [f"--ebn0={ebn0}", "--workers", "1",
                                            "--out", str(out)])
     assert rc == 3
     assert not out.exists()
-    assert chunks == []
+    assert chunks_simulated == []
 
 
 def test_infinite_snr_stays_the_noiseless_sentinel(tmp_path, capsys):
@@ -394,4 +440,4 @@ def test_infinite_snr_stays_the_noiseless_sentinel(tmp_path, capsys):
         rc = main(_EBN0_COMMANDS[command] + ["--ebn0=inf", "--out", str(tmp_path / "x")])
         assert rc == 3
         assert "must be finite for the GA" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        assert list(tmp_path.iterdir()) == [out]  # no pattern file, no log
