@@ -173,6 +173,7 @@ def main(argv=None) -> int:
             "evaluate": _cmd_evaluate,
             "compare": _cmd_compare,
         }[args.command]
+        _check_writable(args.out)
         handler(args)
         return 0
     except UsageError as exc:
@@ -188,8 +189,9 @@ def main(argv=None) -> int:
 
 def _check_writable(*paths: str) -> None:
     """Refuse, as an I/O error, an output path whose directory is missing or
-    that is itself a directory.  Commands call this before any other work, so
-    such a path costs no search or simulation and leaves no file behind."""
+    that is itself a directory.  ``main`` calls this on ``--out`` before any
+    command runs, and ``optimize`` on its log path before it searches, so such
+    a path costs no search or simulation and leaves no file behind."""
     for path in map(Path, paths):
         if path.is_dir():
             raise IsADirectoryError(f"output path {str(path)!r} is a directory")
@@ -199,7 +201,7 @@ def _check_writable(*paths: str) -> None:
 
 def _cmd_optimize(args) -> None:
     log_path = args.log if args.log is not None else f"{args.out}.log"
-    _check_writable(args.out, log_path)
+    _check_writable(log_path)
     spec = CodeSpec(args.n, args.k)
     config = DeConfig(
         pop_size=args.pop_size,
@@ -234,7 +236,6 @@ def _cmd_optimize(args) -> None:
 
 
 def _cmd_pattern(args) -> None:
-    _check_writable(args.out)
     if args.method == "file":
         if not args.infile:
             raise UsageError("--method file requires --in")
@@ -281,14 +282,13 @@ def _sweep(paths: list[str], args) -> list[list]:
     """Rows, pattern by pattern and labelled by file stem, of the sweep of
     ``args.ebn0`` over the pattern files ``paths``.
 
-    The output path, every file and every point's first increment are
-    checked before any frame is simulated.  The points then run in rounds on
-    one pool: a round sends the next increment of every point still running
-    to ``run_batch`` in one call.  A point leaves once it reaches ``--trials``
+    Every file and every point's first increment are checked before any
+    frame is simulated.  The points then run in rounds on one pool: a round
+    sends the next increment of every point still running to ``run_batch``
+    in one call.  A point leaves once it reaches ``--trials``
     or ``--max-block-errors``.  It tallies its own increments in order, so the
     rows depend neither on the other points nor on ``--workers``.
     """
-    _check_writable(args.out)
     snrs = _parse_snrs(args.ebn0)
     loaded = [load_pattern(path)[:2] for path in paths]
     sizes = {pattern.n_mother for pattern, _ in loaded}

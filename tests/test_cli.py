@@ -79,27 +79,28 @@ def chunks_simulated(monkeypatch):
     return chunks
 
 
-# search-mode flags -> the DeConfig fields they must set; at these settings the
+# optimize flags -> the DeConfig fields they must set; at these settings the
 # three searches differ in history, and so do the second and third with any one
-# of their fields left out
-_SEARCH_MODES = [([], {}),
-                 (["--in-place", "--fresh-incumbents"],
-                  dict(in_place=True, fresh_incumbents=True)),
-                 (["--full-space"], dict(reduced_space=False))]
+# of their fields left out; --confirm-trials 0 disables the confirmation run
+_SEARCH_MODES = [(["--confirm-trials", "0"], dict(confirm_trials=None)),
+                 (["--confirm-trials", "1000", "--in-place", "--fresh-incumbents"],
+                  dict(confirm_trials=1000, in_place=True, fresh_incumbents=True)),
+                 (["--confirm-trials", "1000", "--full-space"],
+                  dict(confirm_trials=1000, reduced_space=False))]
 
 
 def test_optimize_writes_pattern_and_log(tmp_path):
     for mode, (flags, fields) in enumerate(_SEARCH_MODES):
         config = DeConfig(pop_size=6, crossover=0.8, scale=0.6, max_iters=3,
-                          ebn0_db=3.0, trials=500, confirm_trials=1000, master_seed=11,
-                          **fields)
+                          ebn0_db=3.0, trials=500, master_seed=11, **fields)
         result = de_optimize(CodeSpec(16, 8), 4, config)
+        assert (result.confirmed_objective is None) == (mode == 0)
         files = []
         for workers in ("1", "2"):
             out = tmp_path / f"opt{mode}-{workers}.json"
             rc = main(["optimize", "--n", "16", "--k", "8", "--np", "4", "--ebn0", "3",
                        "--pop-size", "6", "--cr", "0.8", "--f", "0.6",
-                       "--max-iters", "3", "--trials", "500", "--confirm-trials", "1000",
+                       "--max-iters", "3", "--trials", "500",
                        "--seed", "11", "--workers", workers, "--out", str(out)] + flags)
             assert rc == 0
             files.append((out.read_bytes(), Path(f"{out}.log").read_bytes()))
@@ -387,6 +388,7 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, chunks_simulated):
                  ["evaluate", "--pattern", DE64, *sweep, "--out", missing],
                  ["evaluate", "--pattern", DE64, *sweep, "--out", str(tmp_path)],
                  ["compare", "--patterns", DE64, DE64, *sweep, "--out", missing],
+                 ["compare", "--patterns", DE64, *sweep, "--out", missing],
                  search + ["--out", missing, "--log", str(tmp_path / "o.log")],
                  search + ["--out", str(tmp_path / "o.json"), "--log", missing],
                  search + ["--out", str(tmp_path / "o.json"), "--log", str(tmp_path)],
