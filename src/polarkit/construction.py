@@ -2,9 +2,9 @@
 
 Two metrics are supported: exact Bhattacharyya parameters for the BEC, and
 LLR means propagated with the Gaussian approximation for BPSK over AWGN.
-Both walk the same recursion as the decoder: leaf metrics sit on the coded
-bits, are permuted by bit reversal, and evolve layer by layer back to the
-input bits.
+Both run the encoder's stage loop (``core.butterflies``): leaf metrics sit on
+the coded bits, are permuted by bit reversal, and are combined in place pair
+by pair, widest stage first, until they reach the input bits in natural order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodeSpec, bit_reversal_permutation
+from .core import CodeSpec, bit_reversal_permutation, butterflies
 from .puncturing import PuncturingPattern
 
 BHATTACHARYYA = "bhattacharyya"
@@ -47,21 +47,6 @@ def _check_pattern(spec: CodeSpec, pattern: PuncturingPattern) -> None:
                          f"code has N={spec.n_mother}")
 
 
-def _evolve(leaves: np.ndarray, upper, lower) -> np.ndarray:
-    """Run the polar recursion from coded-bit metrics to input-bit metrics.
-
-    ``upper(a, b)`` combines a pair into the degraded (first-decoded) branch,
-    ``lower(a, b)`` into the upgraded one.  Leaves must already be in
-    bit-reversed order; the result is in natural input order.
-    """
-    if leaves.size == 1:
-        return leaves
-    half = leaves.size // 2
-    a, b = leaves[:half], leaves[half:]
-    return np.concatenate([_evolve(upper(a, b), upper, lower),
-                           _evolve(lower(a, b), upper, lower)])
-
-
 def bec_bhattacharyya(spec: CodeSpec, epsilon: float,
                       pattern: PuncturingPattern) -> ReliabilityVector:
     """Exact Bhattacharyya parameters of the input bit-channels over a BEC.
@@ -76,8 +61,9 @@ def bec_bhattacharyya(spec: CodeSpec, epsilon: float,
     z = np.full(spec.n_mother, float(epsilon))
     z[pattern.zero_based()] = 1.0
     z = z[bit_reversal_permutation(spec.m)]
-    values = _evolve(z, lambda a, b: a + b - a * b, lambda a, b: a * b)
-    return ReliabilityVector(values, BHATTACHARYYA)
+    for a, b in butterflies(z):  # upper (degraded) branch to a, lower to b
+        a[...], b[...] = a + b - a * b, a * b
+    return ReliabilityVector(z, BHATTACHARYYA)
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +111,16 @@ def ga_phi_inv(y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _ga_upper(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    pa = np.array([ga_phi(x) for x in a])
-    pb = np.array([ga_phi(x) for x in b])
+def _ga_upper_mean(a: float, b: float) -> float:
+    pa, pb = ga_phi(a), ga_phi(b)
     # 1 - (1-pa)(1-pb), written to survive pa, pb below double precision
     target = pa + pb - pa * pb
-    floor = np.minimum(a, b)  # exact limit once phi underflows entirely
-    return np.array([ga_phi_inv(t) if t > 0.0 else lim
-                     for t, lim in zip(target, floor)])
+    # min(a, b) is the exact limit once phi underflows entirely
+    return ga_phi_inv(target) if target > 0.0 else min(a, b)
+
+
+# The GA's check-node rule, element-wise on arrays of any shape.
+_ga_upper = np.vectorize(_ga_upper_mean, otypes=[float])
 
 
 def noise_variance(ebn0_db: float, effective_rate: float) -> float:
@@ -174,8 +162,9 @@ def ga_llr_means(spec: CodeSpec, design_ebn0_db: float,
     mu = np.full(spec.n_mother, 2.0 / sigma2)
     mu[pattern.zero_based()] = 0.0
     mu = mu[bit_reversal_permutation(spec.m)]
-    values = _evolve(mu, _ga_upper, lambda a, b: a + b)
-    return ReliabilityVector(values, LLR_MEAN)
+    for a, b in butterflies(mu):
+        a[...], b[...] = _ga_upper(a, b), a + b
+    return ReliabilityVector(mu, LLR_MEAN)
 
 
 def select_information_set(reliability: ReliabilityVector, k: int) -> tuple[int, ...]:

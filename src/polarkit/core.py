@@ -68,15 +68,30 @@ def bit_reversal_permutation(m: int) -> np.ndarray:
     return out
 
 
-def polar_transform(x: np.ndarray) -> np.ndarray:
-    """x F2^(kron m) along axis 0 of the int8 bits ``x``, in place; each stage
-    XORs contiguous row blocks.  B_N commutes with F2^(kron m), so this maps
-    inputs u to the codeword u B_N F2^(kron m) in bit-reversed order."""
-    n, half = x.shape[0], 1
-    while half < n:
+def butterflies(x: np.ndarray):
+    """The m stages of the polar butterfly along axis 0 of ``x`` (length
+    2**m), widest first: for each, the views ``(a, b)`` of the upper and lower
+    halves of every contiguous block of rows, ``b`` half a block below ``a``.
+
+    A caller combines each pair in place, so stage s sees stage s - 1's
+    output.  Applied to metrics in bit-reversed order, this widest-first walk
+    reaches the input bit-channels in natural order.
+    """
+    n = x.shape[0]
+    half = n // 2
+    while half:
         blocks = x.reshape((n // (2 * half), 2 * half) + x.shape[1:])
-        blocks[:, :half] ^= blocks[:, half:]
-        half *= 2
+        yield blocks[:, :half], blocks[:, half:]
+        half //= 2
+
+
+def polar_transform(x: np.ndarray) -> np.ndarray:
+    """x F2^(kron m) along axis 0 of the int8 bits ``x``, in place; each
+    ``butterflies`` stage XORs b into a (XOR stages commute, so their order
+    is free).  B_N commutes with F2^(kron m), so this maps inputs u to the
+    codeword u B_N F2^(kron m) in bit-reversed order."""
+    for a, b in butterflies(x):
+        a ^= b
     return x
 
 

@@ -52,8 +52,9 @@ class ChannelModel:
 
     def __post_init__(self):
         if self.kind == "awgn_bpsk":
-            if math.isnan(self.ebn0_db):
-                raise ValueError("awgn_bpsk model needs ebn0_db")
+            if math.isnan(self.ebn0_db):  # nan is also the default: none given
+                raise ValueError(f"Eb/N0 {self.ebn0_db} dB gives no finite positive "
+                                 "noise variance")
         elif self.kind == "bec":
             if not 0.0 <= self.epsilon <= 1.0:
                 raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")

@@ -407,11 +407,8 @@ _EBN0_COMMANDS = {
 }
 
 
-# the search checks its design Eb/N0 itself, nan included; pattern and evaluate
-# reject a nan Eb/N0 with their channel model (test_pattern_rejects_nan_design_snr,
-# test_bad_snr_fails_before_any_frame_is_simulated)
 _NO_VARIANCE = [(command, ebn0) for command in sorted(_EBN0_COMMANDS)
-                for ebn0 in ("-inf", "-1e308", "1e308", "3080")] + [("optimize", "nan")]
+                for ebn0 in ("-inf", "-1e308", "1e308", "3080", "nan")]
 
 
 @pytest.mark.parametrize("command,ebn0", _NO_VARIANCE)

@@ -7,7 +7,8 @@ import pytest
 from polarkit import (CodeSpec, PuncturingPattern, ReliabilityVector,
                       bec_bhattacharyya, bit_reversal_permutation,
                       ga_llr_means, noise_variance, select_information_set)
-from polarkit.construction import ga_phi, ga_phi_inv
+from polarkit.construction import design_noise_variance, ga_phi, ga_phi_inv
+from polarkit.core import butterflies
 
 
 def analytic_n4_pattern1(eps):
@@ -88,6 +89,76 @@ def test_bec_against_enumeration_oracle():
             expected = brute_force_bec_erasure(spec, eps, PuncturingPattern(4, punct))
             got = bec_bhattacharyya(spec, eps, PuncturingPattern(4, punct))
             assert np.allclose(got.values, expected, atol=1e-12), (punct, eps)
+
+
+def _evolve(leaves, upper, lower):
+    """Reference walk: the polar recursion from bit-reversed leaf metrics to
+    input-bit metrics in natural order, ``upper`` giving the first-decoded
+    branch."""
+    if leaves.size == 1:
+        return leaves
+    half = leaves.size // 2
+    a, b = leaves[:half], leaves[half:]
+    return np.concatenate([_evolve(upper(a, b), upper, lower),
+                           _evolve(lower(a, b), upper, lower)])
+
+
+def _ga_upper_reference(a, b):
+    pa = np.array([ga_phi(x) for x in a])
+    pb = np.array([ga_phi(x) for x in b])
+    target = pa + pb - pa * pb
+    floor = np.minimum(a, b)
+    return np.array([ga_phi_inv(t) if t > 0.0 else lim
+                     for t, lim in zip(target, floor)])
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(16)
+    for n in (2, 4, 16, 64, 256, 1024):
+        patterns = [PuncturingPattern(n, ())]
+        for _ in range(2):
+            n_p = int(rng.integers(1, n))
+            patterns.append(PuncturingPattern(n, tuple(int(i) for i in np.sort(
+                rng.choice(np.arange(1, n + 1), size=n_p, replace=False)))))
+        for pattern in patterns:
+            yield CodeSpec(n, n // 2), pattern
+
+
+@pytest.mark.parametrize("spec,pattern", _oracle_cases(),
+                         ids=lambda v: f"N{v.n_mother}" if isinstance(v, CodeSpec)
+                         else f"np{v.n_p}")
+def test_stage_loop_matches_recursive_oracle(spec, pattern):
+    perm = bit_reversal_permutation(spec.m)
+    punct = pattern.zero_based()
+    rate = spec.k_info / pattern.n_transmitted
+    for ebn0 in (-2.0, 1.5, 4.0, 12.0):
+        mu = np.full(spec.n_mother, 2.0 / design_noise_variance(ebn0, rate))
+        mu[punct] = 0.0
+        want = _evolve(mu[perm], _ga_upper_reference, lambda a, b: a + b)
+        got = ga_llr_means(spec, ebn0, pattern, rate).values
+        assert got.tobytes() == want.tobytes(), ebn0
+    for eps in (0.0, 0.1, 0.5, 0.93, 1.0):
+        z = np.full(spec.n_mother, eps)
+        z[punct] = 1.0
+        want = _evolve(z[perm], lambda a, b: a + b - a * b, lambda a, b: a * b)
+        got = bec_bhattacharyya(spec, eps, pattern).values
+        assert got.tobytes() == want.tobytes(), eps
+
+
+def test_stage_loop_walks_axis_zero_of_a_batch():
+    spec = CodeSpec(64, 32)
+    columns = [(0.2, PuncturingPattern(64, ())),
+               (0.5, PuncturingPattern(64, (1, 9, 33, 40))),
+               (0.8, PuncturingPattern(64, tuple(range(1, 25))))]
+    z = np.empty((64, 3))
+    for j, (eps, pattern) in enumerate(columns):
+        z[:, j] = eps
+        z[pattern.zero_based(), j] = 1.0
+    z = z[bit_reversal_permutation(spec.m)]
+    for a, b in butterflies(z):
+        a[...], b[...] = a + b - a * b, a * b
+    for j, (eps, pattern) in enumerate(columns):
+        assert z[:, j].tobytes() == bec_bhattacharyya(spec, eps, pattern).values.tobytes()
 
 
 def test_ga_phi_basics():

@@ -17,6 +17,8 @@ def test_channel_model_validation():
     ChannelModel.bec(0.4)
     with pytest.raises(ValueError):
         ChannelModel("awgn_bpsk")
+    with pytest.raises(ValueError, match="^Eb/N0 nan dB gives no finite positive noise"):
+        ChannelModel.awgn(math.nan)
     with pytest.raises(ValueError):
         ChannelModel.bec(1.5)
     with pytest.raises(ValueError):
