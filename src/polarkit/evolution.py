@@ -50,7 +50,11 @@ class DeConfig:
     search, confirmation run included.  Each batch of evaluations (a whole
     generation, or one row with ``in_place``) sends the Monte Carlo chunks of
     all its candidates to the pool together; the information sets are
-    selected in this process.  Results do not depend on ``workers``.
+    selected in this process.  The candidates share the generation's seed,
+    so ``run_batch`` draws each chunk's payload and channel once per process:
+    each chunk's candidates are dealt out over ``workers`` tasks, and a task
+    of several candidates holds one extra (N, B) float array while it
+    decodes.  Results do not depend on ``workers``.
     ``confirm_trials`` is the trial count of a final re-evaluation of the
     winner under a separate seed, or None to skip it.
     """

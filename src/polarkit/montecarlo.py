@@ -10,6 +10,13 @@ uniforms).  A chunk then works in the decoders' (N, B) tree layout, whose
 row i is codeword bit perm[i] (perm the bit-reversal): it encodes there
 without a permutation, gathers the channel draw into it, and decodes to
 (K, B) information bits there, so nothing passes through natural order.
+
+Runs that agree on a chunk's draw key (``SimulationRun.draw_key``, with the
+chunk's index and size) draw the same payload and channel for it, as a
+search's candidates under one evaluation seed do.  ``run_batch`` hands such
+runs to one task, which makes the draws once and then encodes, forms LLRs,
+decodes and compares for each run in turn; every LLR comes from the same
+ops in the same order as in a task of its own, so reports do not change.
 """
 
 from __future__ import annotations
@@ -132,49 +139,82 @@ def channel_llrs(x, model: ChannelModel, pattern: PuncturingPattern,
     """
     x = np.asarray(x)
     n = x.shape[-1]
-    llr = _llrs(x.reshape(-1, n).T, model, pattern, effective_rate, rng,
-                np.arange(n))
+    bits, perm = x.reshape(-1, n).T, np.arange(n)
+    draw = _channel_draw(model, effective_rate, rng, bits.shape[::-1], perm)
+    llr = _llrs(bits, model, pattern, effective_rate, draw, perm)
     return llr.T.reshape(x.shape)
 
 
-def _llrs(x, model, pattern, effective_rate, rng, perm):
-    """Channel LLRs of the (N, B) codeword bits ``x`` whose row i is codeword
-    bit perm[i] (perm an involution): the (B, N) channel draw is gathered
-    into that layout."""
-    shape = x.shape[::-1]
+def _channel_draw(model, effective_rate, rng, shape, perm):
+    """The (B, N) channel draw of ``shape`` gathered into the (N, B) layout
+    whose row i is codeword bit perm[i] (perm an involution): the AWGN noise,
+    the BEC's erasures (True where erased), or None for the noiseless
+    channel, which draws nothing."""
+    if model.kind == "bec":
+        return rng.random(shape).T[perm] < model.epsilon
+    sigma2 = noise_variance(model.ebn0_db, effective_rate)
+    return rng.normal(0.0, math.sqrt(sigma2), size=shape).T[perm] if sigma2 else None
+
+
+def _llrs(x, model, pattern, effective_rate, draw, perm, in_place=True):
+    """Channel LLRs of the (N, B) codeword bits ``x`` in ``_channel_draw``'s
+    layout, from its ``draw``.  The arithmetic runs in place in the formula's
+    order, so it is bit-identical to it; AWGN LLRs are formed in ``draw``
+    itself unless ``in_place`` is False."""
+    llr = 1.0 - np.multiply(x, 2.0, dtype=np.float64)
     sigma2 = (noise_variance(model.ebn0_db, effective_rate)
               if model.kind == "awgn_bpsk" else 0.0)
-    if sigma2:  # in place, in the formula's order, so bit-identical to it
-        llr = rng.normal(0.0, math.sqrt(sigma2), size=shape).T[perm]
-        llr += 1.0 - np.multiply(x, 2.0, dtype=np.float64)
+    if sigma2:  # signs + noise: addition commutes, so either array may hold it
+        if in_place:
+            draw += llr
+            llr = draw
+        else:
+            llr += draw
         llr *= 2.0
         llr /= sigma2
     else:
-        llr = (1.0 - np.multiply(x, 2.0, dtype=np.float64)) * HARD_LLR
+        llr *= HARD_LLR
         if model.kind == "bec":
-            llr[rng.random(shape).T[perm] < model.epsilon] = 0.0
+            llr[draw] = 0.0
     llr[perm[pattern.zero_based()]] = 0.0
     return llr
 
 
-def _simulate_chunk(job) -> tuple[np.ndarray, int]:
-    """Per-information-bit and block errors of one chunk of frames, built and
-    decoded in the tree layout (see the module docstring)."""
-    run, chunk_index, chunk_trials = job
-    spec, info_idx, decoder = run.spec, run.info_idx, run.decoder
+def _draw(run, chunk_index, chunk_trials, perm):
+    """A chunk's draws, in the contract order: the (B, K) words sent (random
+    payload bits, then their CRC) and the ``_channel_draw`` in the tree
+    layout ``perm``."""
     rng = np.random.Generator(np.random.Philox(key=[run.seed, chunk_index]))
-    word = rng.integers(0, 2, size=(chunk_trials, info_idx.size - decoder.crc_len),
+    word = rng.integers(0, 2, size=(chunk_trials, run.info_idx.size - run.decoder.crc_len),
                         dtype=np.int8)
-    if decoder.crc_len:
+    if run.decoder.crc_len:
         word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
+    return word, _channel_draw(run.model, run.effective_rate, rng,
+                               (chunk_trials, run.spec.n_mother), perm)
 
-    dec = decoder.build(spec, info_idx + 1)
-    x = np.zeros((spec.n_mother, chunk_trials), dtype=np.int8)
-    x[info_idx] = word.T
-    llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
-                rng, dec._perm)
-    diff = dec._decode_tree(llr)[0] != word.T
-    return diff.sum(axis=1, dtype=np.int64), int(diff.any(axis=0).sum())
+
+def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
+    """Per-information-bit and block errors of one chunk for each run of the
+    task ``(runs, chunk index, chunk trials)``, whose runs share one draw key
+    (``SimulationRun.draw_key``).  The chunk's draws are made once; each run
+    then encodes, forms its LLRs, decodes and compares in the tree layout
+    (see the module docstring).  The last run forms its LLRs in place in the
+    channel draw, so a one-run task allocates what a chunk of its own always
+    did; the earlier runs of a task each hold one more (N, B) float array
+    while they decode."""
+    runs, chunk_index, chunk_trials = task
+    results = []
+    for i, run in enumerate(runs):
+        dec = run.decoder.build(run.spec, run.info_idx + 1)
+        if not i:
+            word, draw = _draw(run, chunk_index, chunk_trials, dec._perm)
+        x = np.zeros((run.spec.n_mother, chunk_trials), dtype=np.int8)
+        x[run.info_idx] = word.T
+        llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
+                    draw, dec._perm, in_place=i == len(runs) - 1)
+        diff = dec._decode_tree(llr)[0] != word.T
+        results.append((diff.sum(axis=1, dtype=np.int64), int(diff.any(axis=0).sum())))
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +223,11 @@ class SimulationRun:
     tally of their results into a ``BerReport``.
 
     ``simulate`` runs one of these; a differential-evolution generation runs
-    many through ``run_batch`` on one pool.  Build it with ``plan``.
+    many through ``run_batch`` on one pool.  Runs of equal ``draw_key``, such
+    as a generation's candidates under its one evaluation seed, draw the same
+    payload and channel for each chunk, and ``run_batch`` makes those draws
+    once for all of them; the report is the one the run gets alone.  Build it
+    with ``plan``.
     """
 
     spec: CodeSpec
@@ -217,12 +261,18 @@ class SimulationRun:
                    trials, seed)
 
     def jobs(self) -> list[tuple]:
-        """``_simulate_chunk``'s (run, chunk index, chunk trials) for each
-        chunk of ``CHUNK_TRIALS``, in chunk order."""
+        """``_simulate_chunk``'s one-run task ((run,), chunk index, chunk
+        trials) for each chunk of ``CHUNK_TRIALS``, in chunk order."""
         sizes = [CHUNK_TRIALS] * (self.trials // CHUNK_TRIALS)
         if self.trials % CHUNK_TRIALS:
             sizes.append(self.trials % CHUNK_TRIALS)
-        return [(self, ci, sz) for ci, sz in enumerate(sizes)]
+        return [((self,), ci, sz) for ci, sz in enumerate(sizes)]
+
+    def draw_key(self) -> tuple:
+        """What a chunk's draws depend on besides its index and trials: runs
+        with equal keys draw the same payload and channel for such a chunk."""
+        return (self.seed, self.spec.n_mother, self.info_idx.size,
+                self.decoder.crc_len, self.model, self.effective_rate)
 
     def tally(self, results) -> BerReport:
         """Sum the chunk results of ``jobs()`` into the run's report."""
@@ -247,33 +297,70 @@ class SimulationRun:
         )
 
 
+class WorkerPool:
+    """A ``multiprocessing`` pool of ``workers`` processes, closed (its
+    processes terminated) on leaving the ``with`` block.  ``run_batch``
+    splits its work by ``workers``."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._pool = multiprocessing.Pool(processes=workers)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.terminate()
+
+    def map(self, fn, tasks: list) -> list:
+        """``fn`` of each task, in order; the processes take one task at a time."""
+        return self._pool.map(fn, tasks, chunksize=1)
+
+
 def worker_pool(workers: int):
-    """Context manager giving a ``multiprocessing`` pool of ``workers``
-    processes, or ``None`` when ``workers`` is 1 (chunks then run in-process)."""
+    """Context manager giving a ``WorkerPool`` of ``workers`` processes, or
+    ``None`` when ``workers`` is 1 (chunks then run in-process)."""
     if workers > 1:
-        return multiprocessing.Pool(processes=workers)
+        return WorkerPool(workers)
     return contextlib.nullcontext()
 
 
-def run_batch(runs: list[SimulationRun], pool=None) -> list[BerReport]:
+def run_batch(runs: list[SimulationRun], pool: WorkerPool | None = None) -> list[BerReport]:
     """Reports of ``runs``, in order.
 
-    The chunks of all runs go to ``pool`` in one map, one chunk per task, so
-    the workers stay busy across run boundaries; with no pool they run
-    in-process.  Each chunk draws from its own (seed, chunk index) generator,
-    so the reports do not depend on the pool.
+    The chunks of all runs are grouped by draw key (``draw_key``, chunk
+    index and chunk trials), so the runs of a group share their draws, as a
+    search's candidates under one evaluation seed do.  Each group is split
+    into ``pool.workers`` tasks, or one per run if it has fewer runs, its runs
+    dealt out in turn; each task makes the group's draws once for all its
+    runs.  All tasks go to ``pool`` in one map, one task at a time, so the
+    workers stay busy across group boundaries; with no pool each group is one
+    task, run in-process.  A task of several runs holds one extra (N, B)
+    float array while it decodes; a run alone in its group, such as every
+    ``evaluate`` point, allocates what it did as a task of its own.  Each
+    run's LLRs come from the same draws and ops whatever task holds it, so
+    the reports do not depend on the pool.
     """
-    jobs = [run.jobs() for run in runs]
-    flat = [job for run_jobs in jobs for job in run_jobs]
+    groups: dict[tuple, list[int]] = {}
+    for r, run in enumerate(runs):
+        for _, ci, sz in run.jobs():
+            groups.setdefault((run.draw_key(), ci, sz), []).append(r)
+    processes = 1 if pool is None else pool.workers
+    members, tasks = [], []
+    for (_, ci, sz), rows in groups.items():
+        parts = min(processes, len(rows))
+        for part in (rows[i::parts] for i in range(parts)):
+            members.append(part)
+            tasks.append((tuple(runs[r] for r in part), ci, sz))
     if pool is None:
-        results = [_simulate_chunk(job) for job in flat]
+        results = [_simulate_chunk(task) for task in tasks]
     else:
-        results = pool.map(_simulate_chunk, flat, chunksize=1)
-    reports, start = [], 0
-    for run, run_jobs in zip(runs, jobs):
-        reports.append(run.tally(results[start:start + len(run_jobs)]))
-        start += len(run_jobs)
-    return reports
+        results = pool.map(_simulate_chunk, tasks)
+    chunks: list[list] = [[] for _ in runs]
+    for part, result in zip(members, results):
+        for r, chunk in zip(part, result):
+            chunks[r].append(chunk)
+    return [run.tally(run_chunks) for run, run_chunks in zip(runs, chunks)]
 
 
 def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: ChannelModel,

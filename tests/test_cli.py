@@ -67,7 +67,8 @@ def test_pattern_rejects_nan_design_snr(tmp_path, capsys, method):
 
 @pytest.fixture
 def chunks_simulated(monkeypatch):
-    """Every Monte Carlo chunk simulated in this process."""
+    """Every Monte Carlo task ((runs), chunk index, chunk trials) simulated
+    in this process."""
     chunks = []
     real_chunk = montecarlo._simulate_chunk
 
@@ -77,6 +78,16 @@ def chunks_simulated(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_simulate_chunk", counting_chunk)
     return chunks
+
+
+def test_chunks_simulated_records_every_task(tmp_path, chunks_simulated):
+    # The fixture wraps the function that simulates, so the tests asserting
+    # it stays empty cannot pass vacuously.  Both points of an SNR share one
+    # seed and pattern, so each SNR is one task of two runs.
+    argv = ["compare", "--patterns", DE64, DE64, "--ebn0", "2,3", "--trials", "100",
+            "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert [(len(runs), ci, sz) for runs, ci, sz in chunks_simulated] == [(2, 0, 100)] * 2
 
 
 # optimize flags -> the DeConfig fields they must set; at these settings the

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig,
+from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig, DeConfig,
                       PuncturingPattern, SCDecoder, SCLDecoder, channel_llrs,
-                      generator_matrix, noise_variance, objective,
-                      qup_pattern, simulate)
+                      de_optimize, generator_matrix, montecarlo, noise_variance,
+                      objective, qup_pattern, simulate)
 from polarkit.decoders import crc16_remainder_bits
-from polarkit.montecarlo import SimulationRun, _simulate_chunk
+from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, _simulate_chunk, run_batch,
+                                 worker_pool)
 
 
 def test_channel_model_validation():
@@ -302,7 +303,7 @@ def test_chunk_matches_independent_oracle(case):
     jobs = [(run, ci, min(chunk, trials - start))
             for ci, start in enumerate(range(0, trials, chunk))]
     assert jobs[-1][-1] < chunk
-    results = [_simulate_chunk(job) for job in jobs]
+    results = [_simulate_chunk(((run,), ci, sz))[0] for run, ci, sz in jobs]
     for job, (errs, blocks) in zip(jobs, results):
         want_errs, want_blocks = _oracle_chunk(job)
         assert errs.dtype == np.int64
@@ -311,6 +312,138 @@ def test_chunk_matches_independent_oracle(case):
     # The channel is noisy enough somewhere that the comparison is not empty.
     if model.kind == "bec" or not math.isinf(model.ebn0_db):
         assert sum(blocks for _, blocks in results) > 0
+
+
+def _random_pattern(spec, n_p, rng):
+    return PuncturingPattern(spec.n_mother, tuple(
+        sorted(int(i) + 1 for i in rng.choice(spec.n_mother, n_p, replace=False))))
+
+
+def _random_info(spec, rng):
+    return tuple(sorted(int(i) + 1 for i in rng.choice(spec.n_mother, spec.k_info,
+                                                        replace=False)))
+
+
+_SHARED_CASES = [
+    # (N, K, n_p, model, decoders of the task's runs): the runs differ in
+    # pattern and information set at one n_p, so they share every draw
+    (64, 32, 24, ChannelModel.awgn(1.0), [_SC] * 3),
+    (64, 32, 24, ChannelModel.awgn(math.inf), [_SC] * 3),
+    (64, 32, 24, ChannelModel.bec(0.3), [_SC] * 3),
+    (256, 128, 40, ChannelModel.awgn(1.5), [_SC] * 2),
+    # one path with a CRC (the chunk walks SC) next to CRC-aided SCL
+    (32, 24, 8, ChannelModel.awgn(2.0),
+     [DecoderConfig(list_size=1, crc_len=16), DecoderConfig(list_size=4, crc_len=16),
+      DecoderConfig(list_size=1, crc_len=16)]),
+]
+
+
+@pytest.mark.parametrize("case", _SHARED_CASES, ids=lambda c: f"N{c[0]}-{c[3].kind}"
+                         f"{c[3].ebn0_db if c[3].kind != 'bec' else c[3].epsilon}-"
+                         f"{len(c[4])}runs")
+def test_shared_draw_chunk_matches_independent_oracle(case):
+    # One task carries several runs under one draw key; each run's errors
+    # are the oracle's for that run alone, so no run sees another's LLRs.
+    n, k, n_p, model, decoders = case
+    spec = CodeSpec(n, k)
+    rng = np.random.default_rng(n + n_p + len(decoders))
+    patterns = [qup_pattern(spec, n_p)] + [_random_pattern(spec, n_p, rng)
+                                            for _ in decoders[1:]]
+    runs = [SimulationRun.plan(spec, pattern, _random_info(spec, rng), model,
+                               decoder=decoder, trials=300, seed=n * 11 + 3)
+            for pattern, decoder in zip(patterns, decoders)]
+    assert len({run.draw_key() for run in runs}) == 1
+    assert len({run.pattern.indices for run in runs}) == len(runs)
+    blocks = 0
+    for ci, sz in [(0, 128), (1, 128), (2, 44)]:
+        results = _simulate_chunk((tuple(runs), ci, sz))
+        assert len(results) == len(runs)
+        for run, (errs, run_blocks) in zip(runs, results):
+            want_errs, want_blocks = _oracle_chunk((run, ci, sz))
+            assert errs.dtype == np.int64
+            assert np.array_equal(errs, want_errs)
+            assert run_blocks == want_blocks
+            blocks += run_blocks
+    if model.kind == "bec" or not math.isinf(model.ebn0_db):
+        assert blocks > 0
+
+
+def _fields(report):
+    return (report.per_bit_ber.tobytes(), report.per_bit_errors.tobytes(), report.bler,
+            report.block_errors, report.objective, report.trials, report.seed,
+            report.info_set)
+
+
+_SCL4 = DecoderConfig(list_size=4, crc_len=16)
+# (n_p, model, [(pattern, decoder, trials)]), pattern 0 the QUP one: runs of
+# three chunks (the last short) and of one short chunk, two n_p, three
+# channels and SC next to CRC-aided SCL
+_BATCH = [(4, ChannelModel.awgn(1.0), [(0, _SC, 20000), (1, _SC, 20000), (2, _SC, 5000)]),
+          (8, ChannelModel.awgn(1.0), [(0, _SC, 20000), (1, _SCL4, 5000), (2, _SCL4, 5000)]),
+          (4, ChannelModel.awgn(math.inf), [(0, _SC, 5000), (1, _SC, 5000)]),
+          (8, ChannelModel.bec(0.3), [(0, _SC, 5000), (1, _SC, 5000), (0, _SCL4, 5000)])]
+
+
+def test_batch_matches_runs_alone_with_and_without_pool():
+    # At two seeds, the batch groups and splits the runs' chunks, yet every
+    # report equals its run's alone, in input order.
+    spec = CodeSpec(32, 20)
+    rng = np.random.default_rng(17)
+    runs = []
+    for seed in (5, 6):
+        for n_p, model, members in _BATCH:
+            patterns = [qup_pattern(spec, n_p), _random_pattern(spec, n_p, rng),
+                        _random_pattern(spec, n_p, rng)]
+            runs += [SimulationRun.plan(spec, patterns[p], _random_info(spec, rng), model,
+                                        decoder, trials=trials, seed=seed)
+                     for p, decoder, trials in members]
+    chunks = [(run.draw_key(), ci, sz) for run in runs for _, ci, sz in run.jobs()]
+    assert len(set(chunks)) == 22 and len(chunks) == 34
+    alone = [_fields(run_batch([run])[0]) for run in runs]
+    assert [_fields(r) for r in run_batch(runs)] == alone
+    with worker_pool(2) as pool:
+        assert [_fields(r) for r in run_batch(runs, pool)] == alone
+
+
+def test_runs_sharing_a_seed_draw_each_chunk_once(monkeypatch):
+    spec = CodeSpec(16, 8)
+    rng = np.random.default_rng(3)
+    patterns = {_random_pattern(spec, 4, rng) for _ in range(40)}
+    runs = [SimulationRun.plan(spec, pattern, _random_info(spec, rng),
+                               ChannelModel.awgn(2.0), trials=CHUNK_TRIALS + 100, seed=9)
+            for pattern in sorted(patterns, key=lambda p: p.indices)[:6]]
+    assert len({run.pattern.indices for run in runs}) == 6
+    draws = []
+    real_draw = montecarlo._draw
+
+    def counting_draw(run, chunk_index, chunk_trials, perm):
+        draws.append((chunk_index, chunk_trials))
+        return real_draw(run, chunk_index, chunk_trials, perm)
+
+    monkeypatch.setattr(montecarlo, "_draw", counting_draw)
+    run_batch(runs)
+    assert draws == [(0, CHUNK_TRIALS), (1, 100)]
+
+
+def test_one_chunk_generation_sends_a_task_to_every_process(monkeypatch):
+    # Each generation's candidates share one chunk; split across the two
+    # processes, its runs dealt out in turn, so neither process idles.
+    sent = []
+    real_map = montecarlo.WorkerPool.map
+
+    def recording_map(self, fn, tasks):
+        sent.append([(len(runs), ci, sz) for runs, ci, sz in tasks])
+        return real_map(self, fn, tasks)
+
+    monkeypatch.setattr(montecarlo.WorkerPool, "map", recording_map)
+    config = DeConfig(pop_size=6, max_iters=2, stall_generations=5, ebn0_db=3.0,
+                      trials=800, confirm_trials=None, workers=2)
+    result = de_optimize(CodeSpec(16, 8), 4, config)
+    assert sent == [[(3, 0, 800), (3, 0, 800)], [(3, 0, 800), (3, 0, 800)],
+                    [(3, 0, 800), (2, 0, 800)]]
+    assert result.evaluations == 17
+    serial = de_optimize(CodeSpec(16, 8), 4, dataclasses.replace(config, workers=1))
+    assert (serial.history, serial.pattern) == (result.history, result.pattern)
 
 
 @pytest.mark.parametrize("model", [ChannelModel.awgn(2.0), ChannelModel.awgn(math.inf),
