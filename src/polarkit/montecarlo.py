@@ -328,16 +328,18 @@ def worker_pool(workers: int):
 def run_batch(runs: list[SimulationRun], pool: WorkerPool | None = None) -> list[BerReport]:
     """Reports of ``runs``, in order.
 
-    The chunks of all runs are grouped by draw key (``draw_key``, chunk
-    index and chunk trials), so the runs of a group share their draws, as a
-    search's candidates under one evaluation seed do.  Each group is split
+    The chunks of all runs are grouped by draw key
+    (``SimulationRun.draw_key``, chunk index and chunk trials), so the runs
+    of a group share their draws, as a search's candidates under one
+    evaluation seed do.  Each group is split
     into ``pool.workers`` tasks, or one per run if it has fewer runs, its runs
     dealt out in turn; each task makes the group's draws once for all its
     runs.  All tasks go to ``pool`` in one map, one task at a time, so the
     workers stay busy across group boundaries; with no pool each group is one
     task, run in-process.  A task of several runs holds one extra (N, B)
-    float array while it decodes; a run alone in its group, such as every
-    ``evaluate`` point, allocates what it did as a task of its own.  Each
+    float array while it decodes (an in-process ``compare`` at N=1024 pays
+    this); a run alone in its group, such as every ``evaluate`` point,
+    allocates what it did as a task of its own.  Each
     run's LLRs come from the same draws and ops whatever task holds it, so
     the reports do not depend on the pool.
     """
