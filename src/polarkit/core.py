@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 GENERATOR_MATRIX_MAX_N = 1024
+# Elements in one slab of large elementwise work (see ``slabs``): 256 KB of
+# float64 per operand, so the five live operands of ``f_node`` fit in a
+# 2 MB L2 cache.
+SLAB_ELEMS = 32768
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,22 @@ def butterflies(x: np.ndarray):
         blocks = x.reshape((n // (2 * half), 2 * half) + x.shape[1:])
         yield blocks[:, :half], blocks[:, half:]
         half //= 2
+
+
+def slabs(shape) -> list[slice]:
+    """Consecutive axis-0 slices covering an array of ``shape`` (at least
+    1-d), each of at most ``SLAB_ELEMS`` elements but never less than one
+    row; an array with no rows is one empty slab.
+
+    Elementwise work on a large array runs slab by slab, so that each slab's
+    operands stay in cache.  Each element still goes through the same ufuncs
+    in the same order, so the results are bit-identical to whole-array ops.
+    """
+    rows = shape[0]
+    step = max(1, SLAB_ELEMS // max(1, math.prod(shape[1:])))
+    if step >= rows:
+        return [slice(0, rows)]
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def polar_transform(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CodeSpec, bit_reversal_permutation
+from .core import CodeSpec, bit_reversal_permutation, slabs
 
 CRC16_POLY = 0x1021
 CRC16_LEN = 16
@@ -28,37 +28,65 @@ def f_node(l_a, l_b):
 
     Computed in the numerically safe Jacobian form
     sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
-    which is exact in reals and never overflows.  The ufuncs run in place in
-    two scratch arrays besides the output, one by one in the order the
+    which is exact in reals and never overflows.  The output is computed
+    slab by slab (``core.slabs``): the ufuncs run in place in the output's
+    slab and in two scratch arrays of one slab, one by one in the order the
     formula reads, so every value is bit-identical to the formula evaluated
-    with temporaries.
+    with whole-array temporaries.
     """
     l_a = np.asarray(l_a, dtype=np.float64)
     l_b = np.asarray(l_b, dtype=np.float64)
-    shape = np.broadcast_shapes(l_a.shape, l_b.shape)
-    out, t, s = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.sign(l_a, out=out)
-    np.multiply(out, np.sign(l_b, out=t), out=out)
-    np.minimum(np.abs(l_a, out=t), np.abs(l_b, out=s), out=t)
-    np.multiply(out, t, out=out)
-    for tmp, combine in ((t, np.add), (s, np.subtract)):
-        combine(l_a, l_b, out=tmp)
-        np.abs(tmp, out=tmp)
-        np.negative(tmp, out=tmp)
-        np.exp(tmp, out=tmp)
-        np.log1p(tmp, out=tmp)
-    np.subtract(t, s, out=t)
-    np.add(out, t, out=out)
+    out = np.empty(np.broadcast(l_a, l_b).shape)
+    rows = np.atleast_1d(out)  # a 0-d output is one slab of one row
+    cuts = slabs(rows.shape)
+    scratch = np.empty((2,) + rows[cuts[0]].shape)
+    for cut in cuts:
+        o, a, b = rows[cut], _slab(l_a, cut, rows), _slab(l_b, cut, rows)
+        t, s = scratch[:, :len(o)]
+        np.sign(a, out=o)
+        np.multiply(o, np.sign(b, out=t), out=o)
+        np.minimum(np.abs(a, out=t), np.abs(b, out=s), out=t)
+        np.multiply(o, t, out=o)
+        for tmp, combine in ((t, np.add), (s, np.subtract)):
+            combine(a, b, out=tmp)
+            np.abs(tmp, out=tmp)
+            np.negative(tmp, out=tmp)
+            np.exp(tmp, out=tmp)
+            np.log1p(tmp, out=tmp)
+        np.subtract(t, s, out=t)
+        np.add(o, t, out=o)
     return float(out) if out.ndim == 0 else out
 
 
 def g_node(l_a, l_b, v_hat):
-    """Variable-node combination (1 - 2 v_hat) l_a + l_b."""
+    """Variable-node combination (1 - 2 v_hat) l_a + l_b.
+
+    Computed in place in the output slab by slab (``core.slabs``), each
+    element through the ufuncs of the formula in its order, so every value
+    is bit-identical to the formula evaluated with whole-array temporaries.
+    """
     l_a = np.asarray(l_a, dtype=np.float64)
     l_b = np.asarray(l_b, dtype=np.float64)
-    sign = 1.0 - 2.0 * np.asarray(v_hat, dtype=np.float64)
-    out = sign * l_a + l_b
+    v_hat = np.asarray(v_hat)
+    out = np.empty(np.broadcast(l_a, l_b, v_hat).shape)
+    rows = np.atleast_1d(out)
+    for cut in slabs(rows.shape):
+        o = rows[cut]
+        np.multiply(_slab(v_hat, cut, rows), 2.0, out=o, dtype=np.float64)
+        np.subtract(1.0, o, out=o)
+        np.multiply(o, _slab(l_a, cut, rows), out=o)
+        np.add(o, _slab(l_b, cut, rows), out=o)
     return float(out) if out.ndim == 0 else out
+
+
+def _slab(x: np.ndarray, cut: slice, out: np.ndarray) -> np.ndarray:
+    """The operand ``x`` of an elementwise op into ``out``, for the slab
+    ``cut`` of ``out``'s rows: its own rows, or all of ``x`` when it
+    broadcasts along axis 0 or has fewer dimensions than ``out`` (as SCL's
+    (w, B, 1) LLRs against (w, B, L) partial sums do along axis 2)."""
+    if x.ndim == out.ndim and x.shape[0] == out.shape[0]:
+        return x[cut]
+    return x
 
 
 def _info_mask(spec: CodeSpec, info_set) -> np.ndarray:

@@ -6,10 +6,13 @@ counter-based Philox generator keyed by (seed, chunk index), so results are
 bit-identical regardless of how many workers execute the chunks.
 The draw order is the contract: a chunk of B frames draws its (B, K - crc)
 random payload bits, then its (B, N) channel draw (AWGN noise or BEC
-uniforms).  A chunk then works in the decoders' (N, B) tree layout, whose
+uniforms), the latter in consecutive blocks of frames that continue one
+stream.  A chunk then works in the decoders' (N, B) tree layout, whose
 row i is codeword bit perm[i] (perm the bit-reversal): it encodes there
-without a permutation, gathers the channel draw into it, and decodes to
-(K, B) information bits there, so nothing passes through natural order.
+without a permutation, gathers each block of the channel draw into it,
+forms the LLRs there on cache-sized row slabs (``core.slabs``), and
+decodes to (K, B) information bits there, so nothing passes through
+natural order.
 
 Runs that agree on a chunk's draw key (``SimulationRun.draw_key``, with the
 chunk's index and size) draw the same payload and channel for it, as a
@@ -30,7 +33,7 @@ import numpy as np
 
 from .construction import (bec_bhattacharyya, ga_llr_means, noise_variance,
                            select_information_set)
-from .core import CodeSpec, polar_transform
+from .core import CodeSpec, polar_transform, slabs
 from .decoders import CRC16_LEN, SCDecoder, SCLDecoder, crc16_remainder_bits
 from .puncturing import PuncturingPattern
 
@@ -51,19 +54,24 @@ def derive_seed(base_seed: int, stream: str, *counters: int) -> int:
 @dataclass(frozen=True)
 class ChannelModel:
     """Memoryless channel: BPSK over AWGN (parameterized by Eb/N0 in dB) or a
-    binary erasure channel (parameterized by the erasure probability)."""
+    binary erasure channel (parameterized by the erasure probability).
+
+    The parameter a kind does not use is None, never NaN: a NaN is unequal to
+    itself, so a model holding one would compare and hash unequal to its own
+    pickled copy, and a run planned from it would get another draw key.
+    """
 
     kind: str
-    ebn0_db: float = math.nan
-    epsilon: float = math.nan
+    ebn0_db: float | None = None
+    epsilon: float | None = None
 
     def __post_init__(self):
         if self.kind == "awgn_bpsk":
-            if math.isnan(self.ebn0_db):  # nan is also the default: none given
+            if self.ebn0_db is None or math.isnan(self.ebn0_db):
                 raise ValueError(f"Eb/N0 {self.ebn0_db} dB gives no finite positive "
                                  "noise variance")
         elif self.kind == "bec":
-            if not 0.0 <= self.epsilon <= 1.0:
+            if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
                 raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         else:
             raise ValueError(f"unknown channel kind {self.kind!r}")
@@ -149,33 +157,48 @@ def _channel_draw(model, effective_rate, rng, shape, perm):
     """The (B, N) channel draw of ``shape`` gathered into the (N, B) layout
     whose row i is codeword bit perm[i] (perm an involution): the AWGN noise,
     the BEC's erasures (True where erased), or None for the noiseless
-    channel, which draws nothing."""
+    channel, which draws nothing.
+
+    The draw is made in consecutive blocks of frames, the rows of
+    ``core.slabs(shape)``, one generator call each; the calls continue one
+    stream, so the draw is the one a single (B, N) call makes.  Each block
+    is gathered into the layout while it is in cache.
+    """
     if model.kind == "bec":
-        return rng.random(shape).T[perm] < model.epsilon
-    sigma2 = noise_variance(model.ebn0_db, effective_rate)
-    return rng.normal(0.0, math.sqrt(sigma2), size=shape).T[perm] if sigma2 else None
+        draw = np.empty(shape[::-1], dtype=bool)
+    else:
+        sigma2 = noise_variance(model.ebn0_db, effective_rate)
+        if not sigma2:
+            return None
+        draw, scale = np.empty(shape[::-1]), math.sqrt(sigma2)
+    for frames in slabs(shape):
+        size = (frames.stop - frames.start, shape[1])
+        if model.kind == "bec":
+            draw[:, frames] = (rng.random(size) < model.epsilon).T[perm]
+        else:
+            draw[:, frames] = rng.normal(0.0, scale, size=size).T[perm]
+    return draw
 
 
 def _llrs(x, model, pattern, effective_rate, draw, perm, in_place=True):
     """Channel LLRs of the (N, B) codeword bits ``x`` in ``_channel_draw``'s
-    layout, from its ``draw``.  The arithmetic runs in place in the formula's
-    order, so it is bit-identical to it; AWGN LLRs are formed in ``draw``
-    itself unless ``in_place`` is False."""
-    llr = 1.0 - np.multiply(x, 2.0, dtype=np.float64)
+    layout, from its ``draw``.  The arithmetic runs slab by slab
+    (``core.slabs``) in the formula's order, so it is bit-identical to it;
+    AWGN LLRs are formed in ``draw`` itself unless ``in_place`` is False."""
     sigma2 = (noise_variance(model.ebn0_db, effective_rate)
               if model.kind == "awgn_bpsk" else 0.0)
-    if sigma2:  # signs + noise: addition commutes, so either array may hold it
-        if in_place:
-            draw += llr
-            llr = draw
+    llr = draw if sigma2 and in_place else np.empty(x.shape)
+    for rows in slabs(x.shape):
+        out = llr[rows]
+        signs = 1.0 - np.multiply(x[rows], 2.0, dtype=np.float64)
+        if sigma2:  # noise + signs is signs + noise: addition commutes
+            np.add(draw[rows], signs, out=out)
+            out *= 2.0
+            out /= sigma2
         else:
-            llr += draw
-        llr *= 2.0
-        llr /= sigma2
-    else:
-        llr *= HARD_LLR
-        if model.kind == "bec":
-            llr[draw] = 0.0
+            np.multiply(signs, HARD_LLR, out=out)
+            if model.kind == "bec":
+                out[draw[rows]] = 0.0
     llr[perm[pattern.zero_based()]] = 0.0
     return llr
 

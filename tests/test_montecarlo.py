@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig, DeConfig,
-                      PuncturingPattern, SCDecoder, SCLDecoder, channel_llrs,
-                      de_optimize, generator_matrix, montecarlo, noise_variance,
-                      objective, qup_pattern, simulate)
+                      PuncturingPattern, SCDecoder, SCLDecoder, bit_reversal_permutation,
+                      channel_llrs, de_optimize, generator_matrix, montecarlo,
+                      noise_variance, objective, qup_pattern, simulate)
 from polarkit.decoders import crc16_remainder_bits
 from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, _simulate_chunk, run_batch,
                                  worker_pool)
@@ -16,14 +17,34 @@ from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, _simulate_chunk, r
 def test_channel_model_validation():
     ChannelModel.awgn(2.0)
     ChannelModel.bec(0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Eb/N0 None dB gives no finite positive noise"):
         ChannelModel("awgn_bpsk")
+    with pytest.raises(ValueError, match="^epsilon must lie in"):
+        ChannelModel("bec")
     with pytest.raises(ValueError, match="^Eb/N0 nan dB gives no finite positive noise"):
         ChannelModel.awgn(math.nan)
     with pytest.raises(ValueError):
         ChannelModel.bec(1.5)
     with pytest.raises(ValueError):
         ChannelModel(kind="laplace", ebn0_db=0.0)
+
+
+@pytest.mark.parametrize("model", [ChannelModel.awgn(4.0), ChannelModel.bec(0.3),
+                                   ChannelModel.awgn(math.inf)],
+                         ids=["awgn", "bec", "noiseless"])
+def test_channel_model_survives_a_pickle_round_trip(model):
+    # A model that crossed a process boundary must keep its run's draw key,
+    # or the run silently stops sharing draws with its generation.
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and hash(copy) == hash(model)
+    spec = CodeSpec(16, 8)
+    pattern = qup_pattern(spec, 4)
+    info = (8, 10, 11, 12, 13, 14, 15, 16)
+    run = SimulationRun.plan(spec, pattern, info, model, trials=100, seed=4)
+    for other in (SimulationRun.plan(spec, pattern, info, copy, trials=100, seed=4),
+                  pickle.loads(pickle.dumps(run))):
+        assert other.draw_key() == run.draw_key()
+        assert hash(other.draw_key()) == hash(run.draw_key())
 
 
 def test_decoder_config_validation():
@@ -227,7 +248,8 @@ def _oracle_chunk(job):
     u = np.zeros((chunk_trials, n), dtype=np.int8)
     u[:, info_idx] = word
 
-    x = (u.astype(np.int64) @ generator_matrix(spec).astype(np.int64)) % 2
+    # A float64 product of 0/1 matrices is exact: every sum is an integer <= N.
+    x = (u.astype(np.float64) @ generator_matrix(spec).astype(np.float64)) % 2
     signs = 1.0 - 2.0 * x
     if model.kind == "awgn_bpsk" and math.isinf(model.ebn0_db):
         llr = signs * 1e4
@@ -275,6 +297,14 @@ _CHUNK_CASES = [
     (512, 256, 100, "qup", ChannelModel.awgn(math.inf), _SC, 100, 48),
     (1024, 512, 224, "qup", ChannelModel.awgn(1.0), _SC, 100, 48),
     (1024, 512, 224, "random", ChannelModel.awgn(4.0), _SC, 100, 48),
+    # chunks spanning several channel-draw blocks of SLAB_ELEMS // N frames
+    # (512 at N=64, 32 at N=1024), not a multiple of one
+    (64, 32, 24, "qup", ChannelModel.awgn(2.0), _SC, 2700, 1300),
+    (64, 32, 24, "random", ChannelModel.bec(0.35), _SC, 2700, 1300),
+    (64, 32, 24, "random", ChannelModel.awgn(math.inf), _SC, 2700, 1300),
+    (1024, 512, 224, "qup", ChannelModel.awgn(2.0), _SC, 250, 100),
+    (1024, 512, 224, "qup", ChannelModel.bec(0.2), _SC, 250, 100),
+    (1024, 512, 224, "random", ChannelModel.awgn(math.inf), _SC, 250, 100),
 ]
 
 
@@ -331,6 +361,8 @@ _SHARED_CASES = [
     (64, 32, 24, ChannelModel.awgn(math.inf), [_SC] * 3),
     (64, 32, 24, ChannelModel.bec(0.3), [_SC] * 3),
     (256, 128, 40, ChannelModel.awgn(1.5), [_SC] * 2),
+    # chunks of several channel-draw blocks (32 frames at N=1024)
+    (1024, 512, 224, ChannelModel.awgn(2.0), [_SC] * 2),
     # one path with a CRC (the chunk walks SC) next to CRC-aided SCL
     (32, 24, 8, ChannelModel.awgn(2.0),
      [DecoderConfig(list_size=1, crc_len=16), DecoderConfig(list_size=4, crc_len=16),
@@ -475,3 +507,40 @@ def test_channel_llrs_keep_natural_order_and_zero_punctured(model):
         assert np.all(llr[..., punctured] == 0.0)
         assert not np.signbit(llr[..., punctured]).any()
         assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "copy"])
+@pytest.mark.parametrize("model", [ChannelModel.awgn(2.0), ChannelModel.awgn(math.inf),
+                                   ChannelModel.bec(0.4)],
+                         ids=["awgn", "noiseless", "bec"])
+@pytest.mark.parametrize("n, frames", [(64, 1300), (1024, 100)])
+def test_blocked_draw_and_llrs_match_the_formula(n, frames, model, in_place):
+    # The draw spans several blocks of SLAB_ELEMS // n frames, not a multiple
+    # of one; the LLRs equal the natural-order formula over one (B, N) draw.
+    spec, rate = CodeSpec(n, n // 2), 0.6
+    pattern = qup_pattern(spec, n // 4)
+    perm = bit_reversal_permutation(spec.m)
+    bits = np.random.default_rng(n).integers(0, 2, size=(frames, n), dtype=np.int8)
+    draw = montecarlo._channel_draw(model, rate, np.random.Generator(np.random.Philox(key=[7, 0])),
+                                    (frames, n), perm)
+    before = None if draw is None else draw.copy()
+    llr = montecarlo._llrs(bits.T[perm], model, pattern, rate, draw, perm,
+                           in_place=in_place)
+
+    rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+    signs = 1.0 - 2.0 * bits
+    if model.kind == "bec":
+        want = signs * 1e4
+        want[rng.random((frames, n)) < model.epsilon] = 0.0
+    elif math.isinf(model.ebn0_db):
+        want = signs * 1e4
+    else:
+        sigma2 = noise_variance(model.ebn0_db, rate)
+        want = 2.0 * (signs + rng.normal(0.0, math.sqrt(sigma2), size=(frames, n))) / sigma2
+    want[:, pattern.zero_based()] = 0.0
+    assert llr.shape == (n, frames)
+    assert np.array_equal(llr.view(np.int64), want.T[perm].view(np.int64))
+    if model.kind == "awgn_bpsk" and in_place and draw is not None:
+        assert llr is draw
+    elif draw is not None:
+        assert llr is not draw and np.array_equal(draw, before)
