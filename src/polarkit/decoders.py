@@ -108,7 +108,8 @@ class SCDecoder:
 
     LLRs go down the tree and partial sums come back up in (width, B)
     arrays, so each half of a node is one contiguous block and every kernel
-    call is a single long pass.  ``SCLDecoder`` subclasses this walk.
+    call runs over it in long contiguous row slabs.  ``SCLDecoder``
+    subclasses this walk.
 
     Rate-0 subtrees, whose input positions are all frozen, decode to zeros
     whatever their LLRs are, so the decoder never descends into them
