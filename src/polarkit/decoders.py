@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .core import CodeSpec, bit_reversal_permutation, slabs
 
 CRC16_POLY = 0x1021
@@ -29,54 +30,83 @@ def f_node(l_a, l_b):
     Computed in the numerically safe Jacobian form
     sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
     which is exact in reals and never overflows.  The output is computed
-    slab by slab (``core.slabs``): the ufuncs run in place in the output's
-    slab and in two scratch arrays of one slab, one by one in the order the
-    formula reads, so every value is bit-identical to the formula evaluated
-    with whole-array temporaries.
+    slab by slab (``core.slabs``), in place in the output's slab and in two
+    scratch arrays of one slab; an output of one slab is computed whole.
+
+    No ``np.sign`` is taken: the first term is min(|a|, |b|) with the XOR of
+    the operands' sign bits, and -|x| is x with its sign bit set, both
+    through int64 views.  Every other ufunc runs in the order the formula
+    reads.  The first term then differs from the formula's only where the
+    min is 0, as a zero of the other sign; there a or b is ±0, so
+    |a+b| = |a-b| and the last two terms cancel to +0, which absorbs the
+    sign.  So every value is bit-identical to the formula evaluated with
+    whole-array temporaries.
     """
     l_a = np.asarray(l_a, dtype=np.float64)
     l_b = np.asarray(l_b, dtype=np.float64)
     out = np.empty(np.broadcast(l_a, l_b).shape)
     rows = np.atleast_1d(out)  # a 0-d output is one slab of one row
-    cuts = slabs(rows.shape)
-    scratch = np.empty((2,) + rows[cuts[0]].shape)
-    for cut in cuts:
-        o, a, b = rows[cut], _slab(l_a, cut, rows), _slab(l_b, cut, rows)
-        t, s = scratch[:, :len(o)]
-        np.sign(a, out=o)
-        np.multiply(o, np.sign(b, out=t), out=o)
-        np.minimum(np.abs(a, out=t), np.abs(b, out=s), out=t)
-        np.multiply(o, t, out=o)
-        for tmp, combine in ((t, np.add), (s, np.subtract)):
-            combine(a, b, out=tmp)
-            np.abs(tmp, out=tmp)
-            np.negative(tmp, out=tmp)
-            np.exp(tmp, out=tmp)
-            np.log1p(tmp, out=tmp)
-        np.subtract(t, s, out=t)
-        np.add(o, t, out=o)
+    if rows.size <= core.SLAB_ELEMS:
+        _f_slab(rows, l_a, l_b, np.empty((2,) + rows.shape))
+    else:
+        cuts = slabs(rows.shape)
+        scratch = np.empty((2,) + rows[cuts[0]].shape)
+        for cut in cuts:
+            o = rows[cut]
+            _f_slab(o, _slab(l_a, cut, rows), _slab(l_b, cut, rows),
+                    scratch[:, :len(o)])
     return float(out) if out.ndim == 0 else out
+
+
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)  # only the IEEE sign bit set
+
+
+def _f_slab(o, a, b, scratch):
+    """``f_node`` of one slab into ``o``, with ``scratch`` two arrays of
+    ``o``'s shape."""
+    t, s = scratch
+    ti, si = t.view(np.int64), s.view(np.int64)
+    np.minimum(np.abs(a, out=t), np.abs(b, out=s), out=o)
+    np.bitwise_xor(a.view(np.int64), b.view(np.int64), out=ti)
+    np.bitwise_and(ti, _SIGN_BIT, out=ti)
+    np.bitwise_or(o.view(np.int64), ti, out=o.view(np.int64))
+    for tmp, bits, combine in ((t, ti, np.add), (s, si, np.subtract)):
+        combine(a, b, out=tmp)
+        np.bitwise_or(bits, _SIGN_BIT, out=bits)
+        np.exp(tmp, out=tmp)
+        np.log1p(tmp, out=tmp)
+    np.subtract(t, s, out=t)
+    np.add(o, t, out=o)
 
 
 def g_node(l_a, l_b, v_hat):
     """Variable-node combination (1 - 2 v_hat) l_a + l_b.
 
-    Computed in place in the output slab by slab (``core.slabs``), each
-    element through the ufuncs of the formula in its order, so every value
-    is bit-identical to the formula evaluated with whole-array temporaries.
+    Computed in place in the output slab by slab (``core.slabs``), or whole
+    for an output of one slab, each element through the ufuncs of the
+    formula in its order, so every value is bit-identical to the formula
+    evaluated with whole-array temporaries.
     """
     l_a = np.asarray(l_a, dtype=np.float64)
     l_b = np.asarray(l_b, dtype=np.float64)
     v_hat = np.asarray(v_hat)
     out = np.empty(np.broadcast(l_a, l_b, v_hat).shape)
     rows = np.atleast_1d(out)
-    for cut in slabs(rows.shape):
-        o = rows[cut]
-        np.multiply(_slab(v_hat, cut, rows), 2.0, out=o, dtype=np.float64)
-        np.subtract(1.0, o, out=o)
-        np.multiply(o, _slab(l_a, cut, rows), out=o)
-        np.add(o, _slab(l_b, cut, rows), out=o)
+    if rows.size <= core.SLAB_ELEMS:
+        _g_slab(rows, l_a, l_b, v_hat)
+    else:
+        for cut in slabs(rows.shape):
+            _g_slab(rows[cut], _slab(l_a, cut, rows), _slab(l_b, cut, rows),
+                    _slab(v_hat, cut, rows))
     return float(out) if out.ndim == 0 else out
+
+
+def _g_slab(o, a, b, v):
+    """``g_node`` of one slab into ``o``."""
+    np.multiply(v, 2.0, out=o, dtype=np.float64)
+    np.subtract(1.0, o, out=o)
+    np.multiply(o, a, out=o)
+    np.add(o, b, out=o)
 
 
 def _slab(x: np.ndarray, cut: slice, out: np.ndarray) -> np.ndarray:
@@ -123,6 +153,16 @@ class SCDecoder:
     punctured positions (a width-2 node with LLRs (0, b) decodes to
     (0, h(b)) under SC but to (h(b), h(b)) by hard decision and re-encoding).
 
+    Punctured outputs are skipped the same way.  Puncturing sets whole rows
+    of the tree's channel LLRs to exactly 0, so the walk carries a mask of
+    the rows that are ±0 in every frame of the batch, read from the LLRs
+    themselves with one ``~llr.any(axis=1)`` pass (no pattern is needed).
+    An ``f`` row is known to be 0 if either operand row is, since
+    f(±0, b) = +0; a ``g`` row, or an a + b row after a rate-0 left child,
+    if both operand rows are, since a sum of two ±0 is ±0.  ``f_node`` runs
+    only on the other rows (``_f_rows``), and the known rows are written as
+    +0, bit for bit what ``f_node`` gives them.  ``g`` is computed in full.
+
     Parameters
     ----------
     spec : CodeSpec
@@ -166,11 +206,12 @@ class SCDecoder:
         information bits and crc_ok, which is None (SC checks no CRC)."""
         self._info = np.zeros((self.info_idx.size, llr.shape[1]), dtype=np.int8)
         if not self._rate0(0, llr.shape[0]):
-            self._recurse(llr, 0)
+            self._recurse(llr, 0, ~llr.any(axis=1))
         return self._info, None
 
-    def _recurse(self, llr: np.ndarray, base: int):
-        """Decode the subtree at ``base`` from its (width, B, ...) LLRs.
+    def _recurse(self, llr: np.ndarray, base: int, zero: np.ndarray):
+        """Decode the subtree at ``base`` from its (width, B, ...) LLRs,
+        whose rows marked in the (width,) mask ``zero`` are ±0 in every frame.
 
         Returns its partial sums and path map: None if the subtree made no
         prune (always so in SC), else the (B, L) index of the entering path
@@ -183,16 +224,19 @@ class SCDecoder:
         # has pruned, the gathered ``llr`` must replace the entering one in
         # memory, not sit beside it for the rest of the subtree.
         half = width // 2
+        # A sum of two ±0 rows is ±0; f of a ±0 row and any row is +0.
+        both, either = zero[:half] & zero[half:], zero[:half] | zero[half:]
         if self._rate0(base, half):
             # Left partial sums are 0, so g(a, b, 0) = 1.0 * a + b = a + b.
-            c_right, paths = self._recurse(llr[:half] + llr[half:], base + half)
+            c_right, paths = self._recurse(llr[:half] + llr[half:], base + half,
+                                           both)
             return np.concatenate([c_right, c_right]), paths
-        c_left, left = self._recurse(f_node(llr[:half], llr[half:]), base)
+        c_left, left = self._recurse(_f_rows(llr, either), base, either)
         if self._rate0(base + half, half):
             return np.concatenate([c_left, np.zeros_like(c_left)]), left
         llr = _follow(llr, left)
         c_right, right = self._recurse(g_node(llr[:half], llr[half:], c_left),
-                                       base + half)
+                                       base + half, both)
         paths = left
         if right is not None:
             c_left = _follow(c_left, right)
@@ -267,7 +311,7 @@ class SCLDecoder(SCDecoder):
         self._pm[:, 0] = 0.0
         self._trail = []
 
-        self._recurse(llr[:, :, None], 0)
+        self._recurse(llr[:, :, None], 0, ~llr.any(axis=1))
 
         info, pm, crc_ok = self._backtrack(), self._pm, None
         if self.crc_len:
@@ -310,6 +354,28 @@ class SCLDecoder(SCDecoder):
             info[k] = np.take_along_axis(bits, path, axis=1)
             path = np.take_along_axis(src, path, axis=1)
         return info
+
+
+def _f_rows(llr: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """``f_node`` of the two halves of the (width, B, ...) ``llr``, called
+    only on the rows that can be nonzero.
+
+    A row marked in the (width / 2,) ``zero`` has an operand row that is ±0
+    in every frame, and f(±0, b) = +0 for every b but NaN (the first term is
+    a signed zero and the other two cancel), so it is written as +0.  The
+    other rows go to ``f_node`` as views when they are one contiguous run,
+    else in one row gather.
+    """
+    half = zero.size
+    live = np.flatnonzero(~zero)
+    if live.size == half:
+        return f_node(llr[:half], llr[half:])
+    out = np.zeros((half,) + llr.shape[1:])
+    if live.size:
+        lo, hi = live[0], live[-1] + 1
+        rows = slice(lo, hi) if hi - lo == live.size else live
+        out[rows] = f_node(llr[:half][rows], llr[half:][rows])
+    return out
 
 
 def _charge(pm: np.ndarray, pen: np.ndarray) -> np.ndarray:

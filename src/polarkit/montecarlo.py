@@ -56,9 +56,11 @@ class ChannelModel:
     """Memoryless channel: BPSK over AWGN (parameterized by Eb/N0 in dB) or a
     binary erasure channel (parameterized by the erasure probability).
 
-    The parameter a kind does not use is None, never NaN: a NaN is unequal to
-    itself, so a model holding one would compare and hash unequal to its own
-    pickled copy, and a run planned from it would get another draw key.
+    The parameter a kind does not use must be None, never NaN or a value: a
+    NaN is unequal to itself, so a model holding one would compare and hash
+    unequal to its own pickled copy, and a model holding a value would differ
+    from the same channel built without it.  Either way a run planned from
+    it would get another draw key.
     """
 
     kind: str
@@ -70,11 +72,16 @@ class ChannelModel:
             if self.ebn0_db is None or math.isnan(self.ebn0_db):
                 raise ValueError(f"Eb/N0 {self.ebn0_db} dB gives no finite positive "
                                  "noise variance")
+            unused = ("epsilon", self.epsilon)
         elif self.kind == "bec":
             if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
                 raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            unused = ("Eb/N0", self.ebn0_db)
         else:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        if unused[1] is not None:
+            raise ValueError(f"channel kind {self.kind!r} takes no {unused[0]}, "
+                             f"got {unused[1]}")
 
     @classmethod
     def awgn(cls, ebn0_db: float) -> "ChannelModel":
@@ -235,6 +242,7 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
         x[run.info_idx] = word.T
         llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
                     draw, dec._perm, in_place=i == len(runs) - 1)
+        del x  # the codeword bits are not held while the tree arrays grow
         diff = dec._decode_tree(llr)[0] != word.T
         results.append((diff.sum(axis=1, dtype=np.int64), int(diff.any(axis=0).sum())))
     return results

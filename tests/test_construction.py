@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from polarkit import (CodeSpec, PuncturingPattern, ReliabilityVector,
-                      bec_bhattacharyya, bit_reversal_permutation,
-                      ga_llr_means, noise_variance, select_information_set)
+                      bec_bhattacharyya, bit_reversal_permutation, construction,
+                      ga_llr_means, noise_variance, qup_pattern,
+                      select_information_set)
 from polarkit.construction import design_noise_variance, ga_phi, ga_phi_inv
 from polarkit.core import butterflies
 
@@ -143,6 +144,30 @@ def test_stage_loop_matches_recursive_oracle(spec, pattern):
         want = _evolve(z[perm], lambda a, b: a + b - a * b, lambda a, b: a * b)
         got = bec_bhattacharyya(spec, eps, pattern).values
         assert got.tobytes() == want.tobytes(), eps
+
+
+def test_ga_memo_returns_the_bits_of_a_fresh_call():
+    # The check-node rule is memoised: a cold and a warm memo give the same
+    # bytes, and a cached +0.0 serves -0.0 (and the reverse) with the bits a
+    # fresh call of either gives.
+    rule = construction._ga_upper_mean
+    spec = CodeSpec(256, 128)
+    cases = [(qup_pattern(spec, 56), 2.0), (PuncturingPattern(256, (1, 3, 9, 77)), 6.0)]
+    rule.cache_clear()
+    cold = [ga_llr_means(spec, ebn0, p, 128 / 200).values.tobytes() for p, ebn0 in cases]
+    assert rule.cache_info().hits > 0
+    warm = [ga_llr_means(spec, ebn0, p, 128 / 200).values.tobytes() for p, ebn0 in cases]
+    assert warm == cold
+    fresh = rule.__wrapped__
+    for b in (0.0, -0.0, 1e-300, 0.7, 9.99, 10.0, 523.0, 1e300):
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            rule.cache_clear()
+            rule(first, b)
+            got = rule(second, b)
+            assert rule.cache_info().hits == 1
+            want = fresh(second, b)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert np.float64(want).tobytes() == np.float64(fresh(first, b)).tobytes()
 
 
 def test_stage_loop_walks_axis_zero_of_a_batch():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from polarkit import (ChannelModel, CodeSpec, PuncturingPattern, SCDecoder,
                       SCLDecoder, bit_reversal_permutation, channel_llrs,
-                      crc16_append, crc16_ccitt, crc16_check, encode, f_node,
-                      g_node, ga_llr_means, select_information_set)
+                      crc16_append, crc16_ccitt, crc16_check, decoders, encode,
+                      f_node, g_node, ga_llr_means, load_pattern, qup_pattern,
+                      reference_pattern_path, select_information_set)
 from polarkit.decoders import _charge, crc16_remainder_bits
+from polarkit.puncturing import candidate_bits
 
 finite_llr = st.floats(min_value=-60, max_value=60, allow_nan=False)
 
@@ -103,6 +105,96 @@ def test_zero_llr_propagation():
     spec = CodeSpec(16, 16)
     u_hat = SCDecoder(spec, range(1, 17)).decode(np.zeros((1, 16)))
     assert np.array_equal(u_hat[0], np.zeros(16, dtype=np.int8))
+
+
+def _f_rows_per_frame(monkeypatch, decoder, llrs):
+    """Rows ``decoder`` hands to ``f_node`` while decoding ``llrs``: each call
+    runs over the whole batch, so this is rows per frame."""
+    rows = []
+    f = decoders.f_node
+
+    def counting(l_a, l_b):
+        rows.append(np.shape(l_a)[0])
+        return f(l_a, l_b)
+
+    monkeypatch.setattr(decoders, "f_node", counting)
+    decoder.decode(llrs)
+    monkeypatch.setattr(decoders, "f_node", f)
+    return sum(rows)
+
+
+def _structural_f_rows(spec, pattern, info, skip_rate0):
+    """f rows per frame with no operand row known to be ±0, when only the
+    punctured rows of the channel LLRs are ±0: the tree walk on masks alone.
+    SC skips rate-0 subtrees (``skip_rate0``); SCL visits every node."""
+    info_mask = np.zeros(spec.n_mother, dtype=bool)
+    info_mask[np.asarray(info) - 1] = True
+    zero = np.zeros(spec.n_mother, dtype=bool)
+    zero[pattern.zero_based()] = True
+
+    def walk(zero, base):
+        half = zero.size // 2
+        if not half:
+            return 0
+        left, right = info_mask[base:base + half], info_mask[base + half:base + 2 * half]
+        both, either = zero[:half] & zero[half:], zero[half:] | zero[:half]
+        if skip_rate0 and not left.any():
+            return walk(both, base + half)
+        count = int(np.count_nonzero(~either)) + walk(either, base)
+        if not skip_rate0 or right.any():
+            count += walk(both, base + half)
+        return count
+
+    return walk(zero[bit_reversal_permutation(spec.m)], 0)
+
+
+def _count_case(spec, pattern, ebn0_db):
+    rate = spec.k_info / pattern.n_transmitted
+    info = select_information_set(ga_llr_means(spec, ebn0_db, pattern, rate),
+                                  spec.k_info)
+    _, llr = _noisy_frames(spec, info, ebn0_db, 6, seed=5, pattern=pattern)
+    return info, llr
+
+
+def test_f_runs_only_on_rows_that_can_be_nonzero(monkeypatch):
+    # A punctured LLR row is ±0 in every frame, and f(±0, b) = +0, so the
+    # decoders call f_node only on the other rows.  Without the skip, SC at
+    # N=1024 on QUP takes 3487 rows per frame and SCL at N=128 takes 448.
+    spec = CodeSpec(1024, 512)
+    pattern = qup_pattern(spec, 224)
+    info, llr = _count_case(spec, pattern, 2.0)
+    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr) == 3039
+    assert _structural_f_rows(spec, pattern, info, skip_rate0=True) == 3039
+
+    # scattered punctured rows (the reduced space's odd bits): one row gather
+    spec = CodeSpec(64, 32)
+    rng = np.random.default_rng(3)
+    pattern = PuncturingPattern(64, tuple(sorted(
+        int(i) for i in rng.choice(candidate_bits(spec), 24, replace=False))))
+    info, llr = _count_case(spec, pattern, 4.0)
+    want = _structural_f_rows(spec, pattern, info, skip_rate0=True)
+    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr) == want == 89
+    full = _structural_f_rows(spec, PuncturingPattern(64, ()), info, skip_rate0=True)
+    assert want < full
+
+    spec = CodeSpec(128, 64)
+    pattern, info, _ = load_pattern(reference_pattern_path("de_n128_k64_np28.json"))
+    _, llr = _noisy_frames(spec, info, 2.0, 6, seed=5, pattern=pattern)
+    for decoder in (SCLDecoder(spec, info, 4, 16), SCLDecoder(spec, info, 1)):
+        assert _f_rows_per_frame(monkeypatch, decoder, llr) == 448 - 139
+    assert _structural_f_rows(spec, pattern, info, skip_rate0=False) == 448 - 139
+
+
+def test_f_is_never_called_when_every_llr_is_zero(monkeypatch):
+    # A BEC with epsilon 1 erases every bit: every tree row is ±0 by the data.
+    spec = CodeSpec(64, 32)
+    pattern = qup_pattern(spec, 8)
+    x = np.zeros((5, 64), dtype=np.int8)
+    llr = channel_llrs(x, ChannelModel.bec(1.0), pattern, 0.5, np.random.default_rng(0))
+    info = range(33, 65)
+    for decoder in (SCDecoder(spec, info), SCLDecoder(spec, info, 4, 16)):
+        assert _f_rows_per_frame(monkeypatch, decoder, llr) == 0
+    assert not np.any(SCDecoder(spec, info).decode(llr))
 
 
 def test_sc_llr_length_validation():

@@ -27,6 +27,16 @@ def test_channel_model_validation():
         ChannelModel.bec(1.5)
     with pytest.raises(ValueError):
         ChannelModel(kind="laplace", ebn0_db=0.0)
+    # The unused parameter is rejected, so one channel has one model (and one
+    # draw key), whichever way it was built.
+    with pytest.raises(ValueError, match="^channel kind 'bec' takes no Eb/N0, got 5.0$"):
+        ChannelModel("bec", ebn0_db=5.0, epsilon=0.3)
+    with pytest.raises(ValueError, match="^channel kind 'awgn_bpsk' takes no epsilon, got 0.3$"):
+        ChannelModel("awgn_bpsk", ebn0_db=2.0, epsilon=0.3)
+    with pytest.raises(ValueError, match="takes no epsilon, got nan"):
+        ChannelModel("awgn_bpsk", ebn0_db=2.0, epsilon=math.nan)
+    assert ChannelModel("bec", epsilon=0.3) == ChannelModel.bec(0.3)
+    assert ChannelModel("awgn_bpsk", ebn0_db=2.0) == ChannelModel.awgn(2.0)
 
 
 @pytest.mark.parametrize("model", [ChannelModel.awgn(4.0), ChannelModel.bec(0.3),

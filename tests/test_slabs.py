@@ -115,6 +115,28 @@ def test_kernels_match_at_tiny_slabs(monkeypatch, slab):
             assert np.array_equal(_bits(g_node(x, y, v)), _bits(_ref_g(x, y, v)))
 
 
+# Operand pairs whose product underflows to ±0 or overflows to ±inf: f takes
+# the sign of its first term from the operands' sign bits, never from a * b.
+_PRODUCT_EDGES = [(1e-200, 1e-200), (-1e-200, 1e-200), (1e-200, -1e-200),
+                  (-1e-200, -1e-200), (5e-324, -5e-324), (-2.2e-308, 1e-310),
+                  (1e200, 1e200), (-1e200, 1e200), (1e200, -1e200),
+                  (-1e300, -1e300), (1e300, -1e-300), (-5e-324, 1e300)]
+
+
+@pytest.mark.parametrize("slab", [1, 7, 32768])
+def test_f_node_signs_where_the_product_underflows_or_overflows(monkeypatch, slab):
+    monkeypatch.setattr(core, "SLAB_ELEMS", slab)
+    a, b = np.array(_PRODUCT_EDGES).T
+    with np.errstate(under="ignore", over="ignore"):
+        assert set(np.unique(np.abs(a * b))) >= {0.0, np.inf}
+    for x, y in ((a, b), (b, a), (a[:, None], b[:, None])):
+        got = f_node(x, y)
+        assert np.array_equal(_bits(got), _bits(_ref_f(x, y)))
+        assert np.array_equal(np.signbit(got), np.signbit(x) ^ np.signbit(y))
+    for x, y in _PRODUCT_EDGES:
+        assert _bits(f_node(x, y)) == _bits(_ref_f(x, y))
+
+
 def test_slabs_cover_every_row_once(monkeypatch):
     monkeypatch.setattr(core, "SLAB_ELEMS", 7)
     assert slabs((10, 3)) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8),
