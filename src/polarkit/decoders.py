@@ -184,15 +184,23 @@ class SCDecoder:
         return self._info_count[base + width] == self._info_count[base]
 
     def _tree_llrs(self, llrs: np.ndarray) -> np.ndarray:
-        """The (B, N) channel LLRs as the tree's (N, B) bit-reversed array."""
+        """The (B, N) channel LLRs as the tree's (N, B) bit-reversed array;
+        raises ValueError on a wrong length or a NaN or infinite LLR."""
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
         n = self.spec.n_mother
         if llrs.shape[1] != n:
             raise ValueError(f"LLR length {llrs.shape[1]} != N={n}")
+        if not np.isfinite(llrs).all():
+            raise ValueError("LLRs must be finite, got NaN or infinity")
         return llrs.T[self._perm]
 
     def decode(self, llrs: np.ndarray) -> np.ndarray:
-        """Decode a (B, N) batch of channel LLR vectors to (B, N) input bits."""
+        """Decode a (B, N) batch of channel LLR vectors to (B, N) input bits.
+
+        Every LLR must be finite: a NaN or ±inf raises ValueError (the
+        kernels would turn inf - inf into NaN and decide against it).
+        Saturate certain bits at a large finite value instead.
+        """
         return self._input_bits(self._decode_tree(self._tree_llrs(llrs))[0])
 
     def _input_bits(self, info: np.ndarray) -> np.ndarray:
@@ -214,8 +222,8 @@ class SCDecoder:
         whose rows marked in the (width,) mask ``zero`` are ±0 in every frame.
 
         Returns its partial sums and path map: None if the subtree made no
-        prune (always so in SC), else the (B, L) index of the entering path
-        that each leaving path continues.
+        prune (always so in SC), else the (B, L) flat row-major index
+        (b * L + l) of the entering path that each leaving path continues.
         """
         width = llr.shape[0]
         if width == 1:
@@ -240,10 +248,7 @@ class SCDecoder:
         paths = left
         if right is not None:
             c_left = _follow(c_left, right)
-            if left is not None:
-                paths = left[np.arange(len(left))[:, None], right]
-            else:
-                paths = right
+            paths = right if left is None else np.take(left, right)
         return np.concatenate([c_left ^ c_right, c_right]), paths
 
     def _leaf(self, llr: np.ndarray, base: int):
@@ -270,14 +275,21 @@ class SCLDecoder(SCDecoder):
     still shares the array, so the channel LLRs and all the work before the
     first information leaf are held and computed once per frame.
     A subtree that prunes the list also returns a (B, L) path map: for each
-    path leaving it, the entering path it continues.  The parent gathers the
+    path leaving it, the entering path it continues, as a flat row-major
+    index b * L + l into the B * L path columns.  The parent gathers the
     arrays it still holds once per child subtree (its LLRs before ``g``,
-    the left partial sums before combining) and composes the maps of its
-    two children.  Decided bits are not copied at all: each information
-    leaf records every surviving path's bit and parent path, and the
-    information bits of the final list are read by walking those parent
-    pointers back.  The stable sort of the 2L candidates fixes the order of
-    tied metrics, which punctured codes (LLRs exactly 0) produce often.  A
+    the left partial sums before combining), each in one ``np.take`` along
+    the (W, B * L) view, and composes the maps of its two children as
+    ``np.take(left, right)``.  Decided bits are not copied at all: each
+    information leaf records every surviving path's bit and parent path
+    (one byte each), and the information bits of the final list are read by
+    walking those parent pointers back.
+
+    At an information leaf each path's two extensions cost pm for the
+    decision its LLR's sign favours and pm + |LLR| for the other, so the
+    contradicting candidate is charged once per path and the other is pm
+    itself.  The stable sort of the 2L candidates fixes the order of tied
+    metrics, which punctured codes (LLRs exactly 0) produce often.  A
     decision penalty too small to change its path metric in floating point
     still raises it by one ulp, so with ``list_size`` 1 the decoder makes
     exactly the hard decisions of SC.
@@ -299,16 +311,19 @@ class SCLDecoder(SCDecoder):
         return False
 
     def decode(self, llrs: np.ndarray):
-        """Decode a (B, N) batch; returns (u_hat (B, N), crc_ok (B,) or None)."""
+        """Decode a (B, N) batch of finite LLRs (see ``SCDecoder.decode``);
+        returns (u_hat (B, N), crc_ok (B,) or None)."""
         info, crc_ok = self._decode_tree(self._tree_llrs(llrs))
         return self._input_bits(info), crc_ok
 
     def _decode_tree(self, llr: np.ndarray):
         """Decode the tree's (N, B) channel LLRs; returns the chosen path's
         (K, B) information bits and crc_ok (B,) or None."""
-        batch = llr.shape[1]
-        self._pm = np.full((batch, self.list_size), np.inf)
+        batch, lsz = llr.shape[1], self.list_size
+        self._pm = np.full((batch, lsz), np.inf)
         self._pm[:, 0] = 0.0
+        self._rows = np.arange(0, batch * lsz, lsz)[:, None]  # b * L
+        self._cand = np.empty((batch, 2 * lsz))
         self._trail = []
 
         self._recurse(llr[:, :, None], 0, ~llr.any(axis=1))
@@ -321,7 +336,8 @@ class SCLDecoder(SCDecoder):
             crc_ok = ok.any(axis=1)
             # The best path passing the CRC, or the best path if none does.
             pm = np.where(ok | ~crc_ok[:, None], pm, np.inf)
-        return info[:, np.arange(batch), np.argmin(pm, axis=1)], crc_ok
+        best = self._rows[:, 0] + np.argmin(pm, axis=1)
+        return np.take(info.reshape(len(info), -1), best, axis=1), crc_ok
 
     def _leaf(self, llr: np.ndarray, base: int):
         """Extend every path by input bit ``base`` given its (B, L') LLRs.
@@ -329,30 +345,41 @@ class SCLDecoder(SCDecoder):
         Returns the bit as (1, B, L') partial sums (L' = L after a prune)
         and the path map, as ``_recurse`` does.
         """
+        pm, lsz = self._pm, self.list_size
         if not self.info_mask[base]:
-            self._pm = self._pm + np.where(llr < 0, -llr, 0.0)
+            # pm + max(-llr, 0) bit for bit: pm - llr is pm + (-llr), and
+            # subtracting a zero leaves pm.
+            np.subtract(pm, np.minimum(llr, 0.0), out=pm)
             return np.zeros((1,) + llr.shape, dtype=np.int8), None
-        lsz = self.list_size
-        pen0 = np.where(llr < 0, -llr, 0.0)
-        pen1 = np.where(llr > 0, llr, 0.0)
-        cand = np.concatenate([_charge(self._pm, pen0), _charge(self._pm, pen1)],
-                              axis=1)
-        sel = np.argsort(cand, axis=1, kind="stable")[:, :lsz]
-        src = sel % lsz
-        bits = (sel >= lsz).astype(np.int8)
-        self._pm = np.take_along_axis(cand, sel, axis=1)
-        self._trail.append((bits, src.astype(np.min_scalar_type(lsz - 1))))
-        return bits[None], src
+        # Candidate l extends path l by bit 0 and candidate L + l by bit 1.
+        # The one the LLR's sign contradicts costs |LLR| (bit 0 where the
+        # sign bit is set), the other keeps pm; they are placed by XOR of
+        # int64 views.  A -0.0 LLR charges nothing, so either placement holds.
+        bad = _charge(pm, np.abs(llr))
+        pmi, badi, cand = pm.view(np.int64), bad.view(np.int64), self._cand
+        swap = np.bitwise_xor(pmi, badi)
+        np.bitwise_and(swap, llr.view(np.int64) >> 63, out=swap)
+        np.bitwise_xor(pmi, swap, out=cand[:, :lsz].view(np.int64))
+        np.bitwise_xor(badi, swap, out=cand[:, lsz:].view(np.int64))
+        # The L best candidates, ties in candidate order, as one-byte indices.
+        sel = np.argsort(cand, axis=1, kind="stable")[:, :lsz].astype(
+            np.min_scalar_type(2 * lsz - 1))
+        self._pm = np.take(cand, 2 * self._rows + sel)
+        high = sel >= lsz
+        src = sel - high.astype(sel.dtype) * lsz
+        bits = high.view(np.int8)
+        self._trail.append((bits, src))
+        return bits[None], self._rows + src
 
     def _backtrack(self) -> np.ndarray:
         """The (K, B, L) information bits of the final list, from the trail."""
         batch, lsz = self._pm.shape
         info = np.empty((len(self._trail), batch, lsz), dtype=np.int8)
-        path = np.broadcast_to(np.arange(lsz), (batch, lsz))
+        path = self._rows + np.arange(lsz)
         for k in range(len(self._trail) - 1, -1, -1):
             bits, src = self._trail[k]
-            info[k] = np.take_along_axis(bits, path, axis=1)
-            path = np.take_along_axis(src, path, axis=1)
+            info[k] = np.take(bits, path)
+            path = self._rows + np.take(src, path)
         return info
 
 
@@ -395,12 +422,13 @@ def _charge(pm: np.ndarray, pen: np.ndarray) -> np.ndarray:
 def _follow(arr: np.ndarray, paths) -> np.ndarray:
     """The (W, B, L') array ``arr`` as seen by the paths leaving a prune.
 
-    ``paths`` is a path map (or None for no prune).  An array with one
-    column (L' = 1) predates the first prune and serves every path as it is.
+    ``paths`` is a flat path map (or None for no prune), gathered along
+    the (W, B * L) view.  An array with one column (L' = 1) predates the
+    first prune and serves every path as it is.
     """
     if paths is None or arr.shape[2] == 1:
         return arr
-    return arr[:, np.arange(arr.shape[1])[:, None], paths]
+    return np.take(arr.reshape(arr.shape[0], -1), paths, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,7 @@ def test_sc_matches_plain_list_decoder_with_one_path(case):
 def test_scl_matches_plain_list_decoder(data):
     crc_len = data.draw(st.sampled_from([0, 16]))
     spec, info, llr = data.draw(_sc_cases(max_m=6, min_k=crc_len + 1))
-    list_size = data.draw(st.sampled_from([2, 3, 4, 8]))
+    list_size = data.draw(st.sampled_from([2, 3, 4, 8, 16]))
     # Sign the LLRs by a random codeword, so that CRC-16 words pass too.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     u = np.zeros(llr.shape, dtype=np.int8)
@@ -368,6 +368,110 @@ def test_scl_matches_plain_list_decoder(data):
         assert np.array_equal(crc_ok, want_ok)
     else:
         assert crc_ok is None and want_ok is None
+
+
+def _first_leaf_rule(pm, llr, list_size):
+    """The information-leaf rule as first written: both extensions of each
+    path charged through ``_charge``, survivors gathered by
+    ``take_along_axis``.  Returns the new metrics, bits, source paths and
+    the (B, 2L) candidates."""
+    pen0 = np.where(llr < 0, -llr, 0.0)
+    pen1 = np.where(llr > 0, llr, 0.0)
+    cand = np.concatenate([_charge(pm, pen0), _charge(pm, pen1)], axis=1)
+    sel = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
+    return (np.take_along_axis(cand, sel, axis=1), (sel >= list_size).astype(np.int8),
+            sel % list_size, cand)
+
+
+def _information_leaf(pm, llr):
+    """One information leaf of ``SCLDecoder`` from (B, L) path metrics and
+    (B, L') LLRs, with the list state set up as ``_decode_tree`` does.
+    Returns what ``_first_leaf_rule`` does, after checking that the path map
+    and the trail agree with the returned bits and sources."""
+    batch, list_size = pm.shape
+    dec = SCLDecoder(CodeSpec(2, 1), (2,), list_size)
+    dec._pm = pm.copy()
+    dec._rows = np.arange(0, batch * list_size, list_size)[:, None]
+    dec._cand = np.empty((batch, 2 * list_size))
+    dec._trail = []
+    partial, paths = dec._leaf(llr, 1)
+    (bits, src), = dec._trail
+    assert bits.dtype == np.int8 and src.itemsize == 1
+    assert np.array_equal(partial, bits[None])
+    assert np.array_equal(paths, dec._rows + src)
+    return dec._pm, bits, src, dec._cand
+
+
+def test_scl_leaf_rule_matches_the_first_formula():
+    # A metric far above |LLR|: each path extends by its LLR's sign at pm,
+    # and the contradicting candidate rises by exactly one ulp.
+    for list_size in (4, 16):
+        rng = np.random.default_rng(list_size)
+        llr = 1e-12 * rng.choice([-1.0, 1.0], size=(3, list_size))
+        pm = np.full(llr.shape, 1e6)
+        got = _information_leaf(pm, llr)
+        want = _first_leaf_rule(pm, llr, list_size)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        new_pm, bits, src, cand = got
+        assert np.all(new_pm == 1e6)
+        assert np.array_equal(bits, np.take_along_axis(llr < 0, src.astype(np.int64), axis=1))
+        neg = llr < 0
+        assert np.all(cand == np.where(np.concatenate([neg, ~neg], axis=1),
+                                       np.nextafter(1e6, np.inf), 1e6))
+
+    # The ramp-up: infinite metrics, ±0 LLRs and exact ties, first as the
+    # one shared column of LLRs, then per path.  The survivors and their
+    # order must be the first formula's at every step.
+    for list_size in (1, 2, 3, 4, 16):
+        rng = np.random.default_rng(7 + list_size)
+        pm = np.full((6, list_size), np.inf)
+        pm[:, 0] = 0.0
+        for step in range(6):
+            llr = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -2.5],
+                             size=(6, 1 if step < 2 else list_size))
+            got = _information_leaf(pm, llr)
+            want = _first_leaf_rule(pm, llr, list_size)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            pm = got[0]
+
+
+@pytest.mark.parametrize("batch", [0, 1])
+@pytest.mark.parametrize("list_size", [1, 4, 16])
+def test_scl_decodes_batches_of_zero_and_one_frame(batch, list_size):
+    spec = CodeSpec(32, 24)
+    info = tuple(range(9, 33))
+    llr = np.random.default_rng(batch).normal(1.0, 2.0, size=(batch, 32))
+    llr[:, :4] = 0.0
+    for crc_len in (0, 16):
+        u_hat, crc_ok = SCLDecoder(spec, info, list_size, crc_len).decode(llr)
+        assert u_hat.dtype == np.int8 and u_hat.shape == (batch, 32)
+        assert crc_ok is None if not crc_len else crc_ok.shape == (batch,)
+        if batch:  # the plain list decoder cannot reshape an empty batch
+            want_u, want_ok = _reference_scl(llr, info, list_size, crc_len)
+            assert np.array_equal(u_hat, want_u)
+            assert crc_ok is None or np.array_equal(crc_ok, want_ok)
+    assert SCDecoder(spec, info).decode(llr).shape == (batch, 32)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decoders_reject_non_finite_llrs(bad):
+    # Signed as ±inf, this codeword decoded to all zeros under SC and SCL
+    # (inf - inf in the kernels); at ±30 it decodes right.
+    spec, info = CodeSpec(8, 4), (4, 6, 7, 8)
+    u = np.array([0, 0, 0, 1, 0, 1, 0, 1], dtype=np.int8)
+    signs = 1.0 - 2.0 * encode(u, spec)
+    sc, scl = SCDecoder(spec, info), SCLDecoder(spec, info, list_size=4)
+    assert np.array_equal(sc.decode(30.0 * signs[None]), u[None])
+    assert np.array_equal(scl.decode(30.0 * signs[None])[0], u[None])
+    llr = np.tile(30.0 * signs, (3, 1))
+    llr[1, 5] = bad
+    for decoder in (sc, scl):
+        with pytest.raises(ValueError, match="finite"):
+            decoder.decode(llr)
+        with pytest.raises(ValueError, match="finite"):
+            decoder.decode(abs(bad) * signs[None])
 
 
 def test_scl_noiseless_crc_ok():
