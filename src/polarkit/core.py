@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,13 @@ class CodeSpec:
     m: int = field(init=False)
 
     def __post_init__(self):
+        # Integral values such as numpy integers are stored as ints.
+        for name in ("n_mother", "k_info"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         n = self.n_mother
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_mother must be a power of 2 with n_mother >= 2, got {n}")

@@ -22,6 +22,9 @@ from .core import CodeSpec, bit_reversal_permutation, slabs
 CRC16_POLY = 0x1021
 CRC16_LEN = 16
 _CRC16_SHIFTS = np.arange(CRC16_LEN - 1, -1, -1)
+# The least value of the guard chain at which SC takes a rate-1 node's hard
+# decision (``_rate1_walk``): about 10^7 times f_node's error.
+RATE1_GUARD = 1e-9
 
 
 def f_node(l_a, l_b):
@@ -148,10 +151,14 @@ class SCDecoder:
     rate-0 left child and ``g`` for a rate-0 right child, and after a rate-0
     left child ``g`` reduces to a + b.  The output is bit-identical to the
     full tree walk.  Punctured codes freeze long runs of inputs, so they gain
-    most.  Rate-1 subtrees (all information) are walked in full: a hard
-    decision on their LLRs differs from SC when LLRs are exactly 0, as at
-    punctured positions (a width-2 node with LLRs (0, b) decodes to
-    (0, h(b)) under SC but to (h(b), h(b)) by hard decision and re-encoding).
+    most.  A rate-1 subtree (all information) returns the hard decision on
+    its LLRs as its partial sums (Sarkis et al., "Fast polar decoders",
+    IEEE JSAC 2014), in each frame that passes a guard proving that the full
+    walk returns the same bits under ``f_node``'s rounding
+    (``_rate1_walk``); the other frames walk it in full.  The leaves
+    record nothing: ``_decode_tree`` reads the information bits off the
+    root's partial sums, whose polar transform is the decided input vector
+    (frozen inputs decode to 0).
 
     Punctured outputs are skipped the same way.  Puncturing sets whole rows
     of the tree's channel LLRs to exactly 0, so the walk carries a mask of
@@ -178,10 +185,12 @@ class SCDecoder:
         # _info_count[i] is the number of information positions below i.
         self._info_count = np.concatenate([[0], np.cumsum(self.info_mask)])
         self._perm = bit_reversal_permutation(spec.m)
-        self._info = None
 
     def _rate0(self, base: int, width: int) -> bool:
         return self._info_count[base + width] == self._info_count[base]
+
+    def _rate1(self, base: int, width: int) -> bool:
+        return self._info_count[base + width] - self._info_count[base] == width
 
     def _tree_llrs(self, llrs: np.ndarray) -> np.ndarray:
         """The (B, N) channel LLRs as the tree's (N, B) bit-reversed array;
@@ -212,10 +221,8 @@ class SCDecoder:
     def _decode_tree(self, llr: np.ndarray):
         """Decode the tree's (N, B) channel LLRs; returns the (K, B)
         information bits and crc_ok, which is None (SC checks no CRC)."""
-        self._info = np.zeros((self.info_idx.size, llr.shape[1]), dtype=np.int8)
-        if not self._rate0(0, llr.shape[0]):
-            self._recurse(llr, 0, ~llr.any(axis=1))
-        return self._info, None
+        x, _ = self._recurse(llr, 0, ~llr.any(axis=1))
+        return core.polar_transform(x)[self.info_idx], None
 
     def _recurse(self, llr: np.ndarray, base: int, zero: np.ndarray):
         """Decode the subtree at ``base`` from its (width, B, ...) LLRs,
@@ -228,6 +235,15 @@ class SCDecoder:
         width = llr.shape[0]
         if width == 1:
             return self._leaf(llr[0], base)
+        # A rate-1 node returns the hard decision in the frames where
+        # ``_rate1_walk`` proves it exact, and the others walk it below on a
+        # gather of their columns.  With a row ±0 in every frame, all walk.
+        hard = None
+        if self._rate1(base, width) and not zero.any():
+            hard, walk = (llr < 0).view(np.int8), _rate1_walk(llr)
+            if not walk.size:
+                return hard, None
+            llr = llr[:, walk]
         # No names are bound to the halves of ``llr``: once the left child
         # has pruned, the gathered ``llr`` must replace the entering one in
         # memory, not sit beside it for the rest of the subtree.
@@ -249,13 +265,16 @@ class SCDecoder:
         if right is not None:
             c_left = _follow(c_left, right)
             paths = right if left is None else np.take(left, right)
-        return np.concatenate([c_left ^ c_right, c_right]), paths
+        out = np.concatenate([c_left ^ c_right, c_right])
+        if hard is None:
+            return out, paths
+        hard[:, walk] = out
+        return hard, paths
 
     def _leaf(self, llr: np.ndarray, base: int):
-        """Decide information bit ``base`` from its (B,) LLRs."""
-        bits = (llr < 0).astype(np.int8)
-        self._info[self._info_count[base]] = bits
-        return bits[None], None
+        """The hard decision on information bit ``base`` from its (B,)
+        LLRs, as (1, B) partial sums."""
+        return (llr < 0).view(np.int8)[None], None
 
 
 class SCLDecoder(SCDecoder):
@@ -271,9 +290,11 @@ class SCLDecoder(SCDecoder):
     codes", IEEE T-IT 2015).  The decoder inherits the tree walk of
     ``SCDecoder`` and differs in its leaf rule and in visiting every leaf:
     frozen leaves charge path metrics, so skipping rate-0 subtrees is not
-    exact.  Tree arrays are (width, B, L'), where L' = 1 while every path
-    still shares the array, so the channel LLRs and all the work before the
-    first information leaf are held and computed once per frame.
+    exact, and an information leaf keeps both decisions, so a rate-1 subtree
+    has no one hard decision.  Tree arrays are (width, B, L'), where L' = 1
+    while every path still shares the array, so the channel LLRs and all the
+    work before the first information leaf are held and computed once per
+    frame.
     A subtree that prunes the list also returns a (B, L) path map: for each
     path leaving it, the entering path it continues, as a flat row-major
     index b * L + l into the B * L path columns.  The parent gathers the
@@ -308,6 +329,9 @@ class SCLDecoder(SCDecoder):
         self.crc_len = crc_len
 
     def _rate0(self, base: int, width: int) -> bool:
+        return False
+
+    def _rate1(self, base: int, width: int) -> bool:
         return False
 
     def decode(self, llrs: np.ndarray):
@@ -381,6 +405,44 @@ class SCLDecoder(SCDecoder):
             info[k] = np.take(bits, path)
             path = self._rows + np.take(src, path)
         return info
+
+
+def _rate1_walk(llr: np.ndarray) -> np.ndarray:
+    """The frames (column indices) of a rate-1 node's (w, B) LLRs α that
+    SC must walk.  In every other frame, the node's walk returns the hard
+    decision h(α) = (α < 0) as its partial sums, bit for bit.
+
+    The guard takes each frame's m = min |α| and applies φ(x) = f(x, x)
+    log2 w times through ``f_node``; a frame passes when the result is at
+    least ``RATE1_GUARD``.  A frame with a ±0 LLR has m = 0 and walks.
+
+    In reals: f(a, b) has the sign of ab and magnitude f(|a|, |b|), which
+    grows with each magnitude, and φ(x) <= x.  By induction on the width,
+    a rate-1 node whose LLRs, and all LLRs below them, are nonzero returns
+    h(α): its left child gets f(α_L, α_R) and returns h(α_L) ^ h(α_R);
+    then (1 - 2 β_L) α_L has the sign of α_R, so the right child's
+    g = ±|α_L| ± |α_R| adds same-signed magnitudes and has the sign of
+    α_R, and the node returns (h(α_L), h(α_R)) = h(α).  Every LLR at depth
+    d of the node then has magnitude at least φ^d(m): ``f`` maps operands
+    of at least φ^d(m) to at least φ^(d+1)(m), and ``g`` to at least
+    φ^d(m) >= φ^(d+1)(m).
+
+    In floats: ``f_node``'s first term, ± min(|a|, |b|), is exact and
+    carries the sign of ab; its other two terms are at most ln 2 each and
+    only they are rounded, so f_node is within δ ≈ 1e-16 of f, and its sign
+    is that of ab wherever |f| > δ.  ``g`` on same-signed operands rounds a
+    sum of like signs, which keeps the sign and is no smaller than either
+    magnitude.  As φ grows with slope at most 1, every LLR at depth d of the
+    walk is then at least φ^d(m) - dδ in magnitude, and the guard's
+    computed chain is within kδ of φ^k(m), k = log2 w.  A frame whose chain
+    reaches 1e-9 thus has every LLR of the node, and every true |f| the
+    walk computes, at 1e-9 - 2kδ or more, about 10^7 times δ, so every sign
+    the walk computes is the sign in reals.
+    """
+    m = np.abs(llr).min(axis=0)
+    for _ in range(llr.shape[0].bit_length() - 1):
+        m = f_node(m, m)
+    return np.flatnonzero(m < RATE1_GUARD)
 
 
 def _f_rows(llr: np.ndarray, zero: np.ndarray) -> np.ndarray:

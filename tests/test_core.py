@@ -40,6 +40,15 @@ def test_codespec_validation():
         CodeSpec(8, 9)
 
 
+def test_codespec_takes_integral_numpy_values():
+    spec = CodeSpec(np.int64(64), np.uint8(32))
+    assert spec == CodeSpec(64, 32) and hash(spec) == hash(CodeSpec(64, 32))
+    assert type(spec.n_mother) is int and type(spec.k_info) is int and spec.m == 6
+    for n, k in ((64.0, 32), (64, 32.0), (np.float64(64), 32), ("64", 32)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            CodeSpec(n, k)
+
+
 def test_generator_matrix_examples():
     assert generator_matrix(CodeSpec(2, 1)).tolist() == [[1, 0], [1, 1]]
     g4 = generator_matrix(CodeSpec(4, 2))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,44 +109,81 @@ def test_zero_llr_propagation():
 
 
 def _f_rows_per_frame(monkeypatch, decoder, llrs):
-    """Rows ``decoder`` hands to ``f_node`` while decoding ``llrs``: each call
-    runs over the whole batch, so this is rows per frame."""
-    rows = []
+    """Rows ``decoder`` hands to ``f_node`` while decoding ``llrs``, per
+    frame of the batch: (tree rows, guard rows).  A tree call on
+    (rows, B', ...) operands counts rows in each of its B' frames, and a
+    rate-1 guard step on (B',) per-frame minima counts one row in each."""
+    tree, guard = [], []
     f = decoders.f_node
 
     def counting(l_a, l_b):
-        rows.append(np.shape(l_a)[0])
+        shape = np.shape(l_a)
+        if len(shape) == 1:
+            guard.append(shape[0])
+        else:
+            tree.append(shape[0] * shape[1])
         return f(l_a, l_b)
 
     monkeypatch.setattr(decoders, "f_node", counting)
     decoder.decode(llrs)
     monkeypatch.setattr(decoders, "f_node", f)
-    return sum(rows)
+    return Fraction(sum(tree), len(llrs)), Fraction(sum(guard), len(llrs))
 
 
-def _structural_f_rows(spec, pattern, info, skip_rate0):
-    """f rows per frame with no operand row known to be ±0, when only the
-    punctured rows of the channel LLRs are ±0: the tree walk on masks alone.
-    SC skips rate-0 subtrees (``skip_rate0``); SCL visits every node."""
+def _structural_f_rows(spec, pattern, info, skip_rate0, llrs=None):
+    """(f rows, guard rows) per frame with no operand row known to be ±0,
+    when only the punctured rows of the channel LLRs are ±0: the tree walk
+    on masks alone.  SC skips rate-0 subtrees (``skip_rate0``); SCL visits
+    every node.
+
+    Given the (B, N) channel ``llrs``, SC's rate-1 shortcut as well: at a
+    rate-1 node of width w >= 2 with no ±0 row, each frame still walking
+    takes log2 w guard rows, and leaves the walk when f(m, m) applied
+    log2 w times to its min |LLR| m over the node reaches the guard.  The
+    node LLRs are computed in full by ``f_node`` and ``g_node`` from the
+    plain list decoder's decisions, with no shortcut.
+    """
     info_mask = np.zeros(spec.n_mother, dtype=bool)
     info_mask[np.asarray(info) - 1] = True
+    perm = bit_reversal_permutation(spec.m)
     zero = np.zeros(spec.n_mother, dtype=bool)
     zero[pattern.zero_based()] = True
+    shortcut = llrs is not None
+    if shortcut:
+        u, _ = _reference_scl(llrs, info, 1, 0)
+    else:  # one notional frame, whose LLRs are not used
+        llrs, u = np.ones((1, spec.n_mother)), np.zeros((1, spec.n_mother), np.int8)
 
-    def walk(zero, base):
+    def walk(zero, base, llr, frames):
+        """(f rows, guard rows) summed over ``frames`` (indices into the
+        batch), whose (len(frames), width) node LLRs are ``llr``."""
         half = zero.size // 2
         if not half:
-            return 0
+            return 0, 0
         left, right = info_mask[base:base + half], info_mask[base + half:base + 2 * half]
+        guard = 0
+        if shortcut and left.all() and right.all() and not zero.any():
+            m = np.abs(llr).min(axis=1)
+            for _ in range(half.bit_length()):
+                m = f_node(m, m)
+            guard = frames.size * half.bit_length()
+            walking = m < decoders.RATE1_GUARD
+            llr, frames = llr[walking], frames[walking]
         both, either = zero[:half] & zero[half:], zero[half:] | zero[:half]
+        a, b = llr[:, :half], llr[:, half:]
         if skip_rate0 and not left.any():
-            return walk(both, base + half)
-        count = int(np.count_nonzero(~either)) + walk(either, base)
+            rows, guards = walk(both, base + half, a + b, frames)
+            return rows, guard + guards
+        rows, guards = walk(either, base, f_node(a, b), frames)
+        rows += frames.size * int(np.count_nonzero(~either))
         if not skip_rate0 or right.any():
-            count += walk(both, base + half)
-        return count
+            c_left = _reference_partial_sums(u[frames, base:base + half])
+            more = walk(both, base + half, g_node(a, b, c_left), frames)
+            rows, guards = rows + more[0], guards + more[1]
+        return rows, guard + guards
 
-    return walk(zero[bit_reversal_permutation(spec.m)], 0)
+    rows, guards = walk(zero[perm], 0, llrs[:, perm], np.arange(len(llrs)))
+    return Fraction(rows, len(llrs)), Fraction(guards, len(llrs))
 
 
 def _count_case(spec, pattern, ebn0_db):
@@ -160,11 +198,19 @@ def test_f_runs_only_on_rows_that_can_be_nonzero(monkeypatch):
     # A punctured LLR row is ±0 in every frame, and f(±0, b) = +0, so the
     # decoders call f_node only on the other rows.  Without the skip, SC at
     # N=1024 on QUP takes 3487 rows per frame and SCL at N=128 takes 448.
+    # LLRs scaled to 1e-10 or less fail every rate-1 guard, so SC walks its
+    # whole tree and adds log2 w guard rows per rate-1 node of width w.
     spec = CodeSpec(1024, 512)
     pattern = qup_pattern(spec, 224)
     info, llr = _count_case(spec, pattern, 2.0)
-    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr) == 3039
-    assert _structural_f_rows(spec, pattern, info, skip_rate0=True) == 3039
+    assert _structural_f_rows(spec, pattern, info, skip_rate0=True) == (3039, 0)
+    tiny = llr * 1e-12
+    want = _structural_f_rows(spec, pattern, info, True, tiny)
+    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), tiny) == want == (3039, 710)
+    # On noisy frames most frames pass the guards and skip the nodes' rows.
+    want = _structural_f_rows(spec, pattern, info, True, llr)
+    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr) == want
+    assert want[0] < 3039 and 0 < want[1] < 710
 
     # scattered punctured rows (the reduced space's odd bits): one row gather
     spec = CodeSpec(64, 32)
@@ -173,16 +219,19 @@ def test_f_runs_only_on_rows_that_can_be_nonzero(monkeypatch):
         int(i) for i in rng.choice(candidate_bits(spec), 24, replace=False))))
     info, llr = _count_case(spec, pattern, 4.0)
     want = _structural_f_rows(spec, pattern, info, skip_rate0=True)
-    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr) == want == 89
+    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr * 1e-12)[0] \
+        == want[0] == 89
     full = _structural_f_rows(spec, PuncturingPattern(64, ()), info, skip_rate0=True)
-    assert want < full
+    assert want[0] < full[0]
+    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr) \
+        == _structural_f_rows(spec, pattern, info, True, llr)
 
     spec = CodeSpec(128, 64)
     pattern, info, _ = load_pattern(reference_pattern_path("de_n128_k64_np28.json"))
     _, llr = _noisy_frames(spec, info, 2.0, 6, seed=5, pattern=pattern)
     for decoder in (SCLDecoder(spec, info, 4, 16), SCLDecoder(spec, info, 1)):
-        assert _f_rows_per_frame(monkeypatch, decoder, llr) == 448 - 139
-    assert _structural_f_rows(spec, pattern, info, skip_rate0=False) == 448 - 139
+        assert _f_rows_per_frame(monkeypatch, decoder, llr) == (448 - 139, 0)
+    assert _structural_f_rows(spec, pattern, info, skip_rate0=False) == (448 - 139, 0)
 
 
 def test_f_is_never_called_when_every_llr_is_zero(monkeypatch):
@@ -193,7 +242,7 @@ def test_f_is_never_called_when_every_llr_is_zero(monkeypatch):
     llr = channel_llrs(x, ChannelModel.bec(1.0), pattern, 0.5, np.random.default_rng(0))
     info = range(33, 65)
     for decoder in (SCDecoder(spec, info), SCLDecoder(spec, info, 4, 16)):
-        assert _f_rows_per_frame(monkeypatch, decoder, llr) == 0
+        assert _f_rows_per_frame(monkeypatch, decoder, llr) == (0, 0)
     assert not np.any(SCDecoder(spec, info).decode(llr))
 
 
@@ -331,7 +380,7 @@ def _reference_partial_sums(u):
     x = u.copy()
     step = 1
     while step < x.shape[-1]:
-        view = x.reshape(x.shape[:-1] + (-1, 2, step))
+        view = x.reshape(x.shape[:-1] + (x.shape[-1] // (2 * step), 2, step))
         view[..., 0, :] ^= view[..., 1, :]
         step *= 2
     return x
@@ -345,6 +394,41 @@ def test_sc_matches_plain_list_decoder_with_one_path(case):
     spec, info, llr = case
     want, _ = _reference_scl(llr, info, 1, 0)
     assert np.array_equal(SCDecoder(spec, info).decode(llr), want)
+
+
+def _rate1_case(rng):
+    """A code of N = 2..64 with a rate-1-heavy information set (K = N, a
+    suffix, or dense random), and LLRs at the edge of ``f_node``'s
+    precision: magnitudes from 1e-19 to 1e-8 with mixed signs, exact ±0,
+    and some large values."""
+    n = 1 << int(rng.integers(1, 7))
+    kind = rng.integers(3)
+    if kind == 0:
+        info = range(1, n + 1)
+    elif kind == 1:
+        info = range(int(rng.integers(1, n + 1)), n + 1)
+    else:
+        info = np.flatnonzero(rng.random(n) < 0.8) + 1
+        info = info if info.size else [n]
+    batch = int(rng.integers(1, 9))
+    llr = rng.choice([-1.0, 1.0], (batch, n)) * 10.0 ** rng.uniform(-19, -8, (batch, n))
+    llr[rng.random((batch, n)) < 0.1] = rng.choice([0.0, -0.0])
+    big = rng.random((batch, n)) < rng.choice([0.0, 0.1, 0.5])
+    llr[big] = rng.normal(0.0, 20.0, np.count_nonzero(big))
+    return CodeSpec(n, len(info)), tuple(int(i) for i in info), llr
+
+
+def test_sc_rate1_nodes_match_plain_list_decoder_on_tiny_llrs():
+    # A rate-1 node's hard decision is SC's output only where f_node's sign
+    # is right, which fails for operands near 1e-16; the guard sends such
+    # frames through the full walk.  Without the guard, most of these cases
+    # decode differently from the plain list decoder.
+    rng = np.random.default_rng(2011)
+    for case in range(300):
+        spec, info, llr = _rate1_case(rng)
+        want, _ = _reference_scl(llr, info, 1, 0)
+        got = SCDecoder(spec, info).decode(llr)
+        assert np.array_equal(got, want), (case, spec, info)
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,11 +532,12 @@ def test_scl_decodes_batches_of_zero_and_one_frame(batch, list_size):
         u_hat, crc_ok = SCLDecoder(spec, info, list_size, crc_len).decode(llr)
         assert u_hat.dtype == np.int8 and u_hat.shape == (batch, 32)
         assert crc_ok is None if not crc_len else crc_ok.shape == (batch,)
-        if batch:  # the plain list decoder cannot reshape an empty batch
-            want_u, want_ok = _reference_scl(llr, info, list_size, crc_len)
-            assert np.array_equal(u_hat, want_u)
-            assert crc_ok is None or np.array_equal(crc_ok, want_ok)
-    assert SCDecoder(spec, info).decode(llr).shape == (batch, 32)
+        want_u, want_ok = _reference_scl(llr, info, list_size, crc_len)
+        assert np.array_equal(u_hat, want_u)
+        assert crc_ok is None or np.array_equal(crc_ok, want_ok)
+    u_hat = SCDecoder(spec, info).decode(llr)
+    assert u_hat.dtype == np.int8 and u_hat.shape == (batch, 32)
+    assert np.array_equal(u_hat, _reference_scl(llr, info, 1, 0)[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
