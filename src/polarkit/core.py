@@ -98,17 +98,18 @@ def butterflies(x: np.ndarray):
         half //= 2
 
 
-def slabs(shape) -> list[slice]:
+def slabs(shape, limit: int | None = None) -> list[slice]:
     """Consecutive axis-0 slices covering an array of ``shape`` (at least
-    1-d), each of at most ``SLAB_ELEMS`` elements but never less than one
-    row; an array with no rows is one empty slab.
+    1-d), each of at most ``limit`` elements (default ``SLAB_ELEMS``) but
+    never less than one row; an array with no rows is one empty slab.
 
     Elementwise work on a large array runs slab by slab, so that each slab's
     operands stay in cache.  Each element still goes through the same ufuncs
     in the same order, so the results are bit-identical to whole-array ops.
     """
     rows = shape[0]
-    step = max(1, SLAB_ELEMS // max(1, math.prod(shape[1:])))
+    limit = SLAB_ELEMS if limit is None else limit
+    step = max(1, limit // max(1, math.prod(shape[1:])))
     if step >= rows:
         return [slice(0, rows)]
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]

@@ -25,6 +25,14 @@ _CRC16_SHIFTS = np.arange(CRC16_LEN - 1, -1, -1)
 # The least value of the guard chain at which SC takes a rate-1 node's hard
 # decision (``_rate1_walk``): about 10^7 times f_node's error.
 RATE1_GUARD = 1e-9
+# RATE1_THRESHOLDS[k - 1] is θ_k, the least |LLR| of a frame at which SC takes
+# the hard decision of a rate-1 node of width 2^k.  Each is the least m whose
+# chain of f_node(m, m) applied k times reaches RATE1_GUARD, raised by 1e-5
+# relative and rounded up to six digits, so that its chain reaches the guard
+# under every SIMD dispatch of exp and log1p.  Wider nodes are not shortcut.
+RATE1_THRESHOLDS = (4.47219e-05, 0.00945759, 0.13775, 0.537013, 1.13112, 1.79717,
+                    2.48338, 3.17479, 3.8675, 4.56055, 5.25368, 5.94682, 6.63997,
+                    7.33313, 8.02628, 8.71944, 9.41259, 10.1058, 10.7989, 11.4921)
 
 
 def f_node(l_a, l_b):
@@ -190,7 +198,8 @@ class SCDecoder:
         return self._info_count[base + width] == self._info_count[base]
 
     def _rate1(self, base: int, width: int) -> bool:
-        return self._info_count[base + width] - self._info_count[base] == width
+        return (width <= 1 << len(RATE1_THRESHOLDS)
+                and self._info_count[base + width] - self._info_count[base] == width)
 
     def _tree_llrs(self, llrs: np.ndarray) -> np.ndarray:
         """The (B, N) channel LLRs as the tree's (N, B) bit-reversed array;
@@ -412,9 +421,12 @@ def _rate1_walk(llr: np.ndarray) -> np.ndarray:
     SC must walk.  In every other frame, the node's walk returns the hard
     decision h(α) = (α < 0) as its partial sums, bit for bit.
 
-    The guard takes each frame's m = min |α| and applies φ(x) = f(x, x)
-    log2 w times through ``f_node``; a frame passes when the result is at
-    least ``RATE1_GUARD``.  A frame with a ±0 LLR has m = 0 and walks.
+    The guard takes each frame's m = min |α| and compares it with θ_k,
+    k = log2 w, from ``RATE1_THRESHOLDS``: a frame passes when m >= θ_k.  A
+    frame with a ±0 LLR has m = 0 and walks.  θ_k is chosen so that φ(x) =
+    f(x, x) applied k times to θ_k through ``f_node`` (the guard chain)
+    reaches ``RATE1_GUARD``, which a test checks for every k under the
+    running SIMD dispatch.
 
     In reals: f(a, b) has the sign of ab and magnitude f(|a|, |b|), which
     grows with each magnitude, and φ(x) <= x.  By induction on the width,
@@ -433,16 +445,14 @@ def _rate1_walk(llr: np.ndarray) -> np.ndarray:
     is that of ab wherever |f| > δ.  ``g`` on same-signed operands rounds a
     sum of like signs, which keeps the sign and is no smaller than either
     magnitude.  As φ grows with slope at most 1, every LLR at depth d of the
-    walk is then at least φ^d(m) - dδ in magnitude, and the guard's
-    computed chain is within kδ of φ^k(m), k = log2 w.  A frame whose chain
-    reaches 1e-9 thus has every LLR of the node, and every true |f| the
-    walk computes, at 1e-9 - 2kδ or more, about 10^7 times δ, so every sign
-    the walk computes is the sign in reals.
+    walk is then at least φ^d(m) - dδ in magnitude, and the guard chain of
+    θ_k is within kδ of φ^k(θ_k), so φ^k(θ_k) >= 1e-9 - kδ.  φ is monotone,
+    so a frame with m >= θ_k has φ^k(m) >= φ^k(θ_k): every LLR of its node,
+    and every true |f| the walk computes, is at 1e-9 - 2kδ or more, about
+    10^7 times δ, so every sign the walk computes is the sign in reals.
     """
-    m = np.abs(llr).min(axis=0)
-    for _ in range(llr.shape[0].bit_length() - 1):
-        m = f_node(m, m)
-    return np.flatnonzero(m < RATE1_GUARD)
+    theta = RATE1_THRESHOLDS[llr.shape[0].bit_length() - 2]
+    return np.flatnonzero(np.abs(llr).min(axis=0) < theta)
 
 
 def _f_rows(llr: np.ndarray, zero: np.ndarray) -> np.ndarray:

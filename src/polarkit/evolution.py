@@ -53,8 +53,9 @@ class DeConfig:
     selected in this process.  The candidates share the generation's seed,
     so ``run_batch`` draws each chunk's payload and channel once per process:
     each chunk's candidates are dealt out over ``workers`` tasks, and a task
-    of several candidates holds one extra (N, B) float array while it
-    decodes.  Results do not depend on ``workers``.
+    of several candidates holds one extra float array of one block of the
+    chunk (at most ``montecarlo.BLOCK_ELEMS`` elements) while it decodes.
+    Results do not depend on ``workers``.
     ``confirm_trials`` is the trial count of a final re-evaluation of the
     winner under a separate seed, or None to skip it.
     """

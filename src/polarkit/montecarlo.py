@@ -8,18 +8,22 @@ The draw order is the contract: a chunk of B frames draws its (B, K - crc)
 random payload bits, then its (B, N) channel draw (AWGN noise or BEC
 uniforms), the latter in consecutive blocks of frames that continue one
 stream.  A chunk then works in the decoders' (N, B) tree layout, whose
-row i is codeword bit perm[i] (perm the bit-reversal): it encodes there
-without a permutation, gathers each block of the channel draw into it,
-forms the LLRs there on cache-sized row slabs (``core.slabs``), and
-decodes to (K, B) information bits there, so nothing passes through
-natural order.
+row i is codeword bit perm[i] (perm the bit-reversal), one block of at
+most ``BLOCK_ELEMS`` elements (N x frames) at a time: it encodes the
+block's words there without a permutation, gathers the block's channel
+draw into it, forms the LLRs there on cache-sized row slabs
+(``core.slabs``), and decodes to (K, frames) information bits there, so
+nothing passes through natural order.  SC and SCL decide each frame on its
+own, so the errors do not depend on the block size, and a chunk holds its
+LLRs and tree arrays for one block, not for all B frames.
 
 Runs that agree on a chunk's draw key (``SimulationRun.draw_key``, with the
 chunk's index and size) draw the same payload and channel for it, as a
 search's candidates under one evaluation seed do.  ``run_batch`` hands such
-runs to one task, which makes the draws once and then encodes, forms LLRs,
-decodes and compares for each run in turn; every LLR comes from the same
-ops in the same order as in a task of its own, so reports do not change.
+runs to one task, which makes each draw once and then encodes, forms LLRs,
+decodes and compares for each run in turn, block by block; every LLR comes
+from the same ops in the same order as in a task of its own, so reports do
+not change.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ from .puncturing import PuncturingPattern
 
 HARD_LLR = 1e4
 CHUNK_TRIALS = 8192
+# Tree elements (N x frames) in one block of a chunk (see ``_simulate_chunk``):
+# 16 MB of float64 LLRs, 2048 frames at N=1024.  A chunk at N <= 256 is one
+# block.
+BLOCK_ELEMS = 2 ** 21
 # Tags of the seed streams (see ``derive_seed``): a search's evaluations per
 # generation, its final confirmation run, and a sweep's increments per point.
 SEED_STREAMS = {"evaluation": 1, "confirmation": 2, "sweep": 3}
@@ -166,9 +174,9 @@ def _channel_draw(model, effective_rate, rng, shape, perm):
     the BEC's erasures (True where erased), or None for the noiseless
     channel, which draws nothing.
 
-    The draw is made in consecutive blocks of frames, the rows of
+    The draw is made in consecutive slabs of frames, the rows of
     ``core.slabs(shape)``, one generator call each; the calls continue one
-    stream, so the draw is the one a single (B, N) call makes.  Each block
+    stream, so the draw is the one a single (B, N) call makes.  Each slab
     is gathered into the layout while it is in cache.
     """
     if model.kind == "bec":
@@ -210,42 +218,47 @@ def _llrs(x, model, pattern, effective_rate, draw, perm, in_place=True):
     return llr
 
 
-def _draw(run, chunk_index, chunk_trials, perm):
-    """A chunk's draws, in the contract order: the (B, K) words sent (random
-    payload bits, then their CRC) and the ``_channel_draw`` in the tree
-    layout ``perm``."""
-    rng = np.random.Generator(np.random.Philox(key=[run.seed, chunk_index]))
-    word = rng.integers(0, 2, size=(chunk_trials, run.info_idx.size - run.decoder.crc_len),
-                        dtype=np.int8)
-    if run.decoder.crc_len:
-        word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
-    return word, _channel_draw(run.model, run.effective_rate, rng,
-                               (chunk_trials, run.spec.n_mother), perm)
-
-
 def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
     """Per-information-bit and block errors of one chunk for each run of the
     task ``(runs, chunk index, chunk trials)``, whose runs share one draw key
-    (``SimulationRun.draw_key``).  The chunk's draws are made once; each run
-    then encodes, forms its LLRs, decodes and compares in the tree layout
-    (see the module docstring).  The last run forms its LLRs in place in the
-    channel draw, so a one-run task allocates what a chunk of its own always
-    did; the earlier runs of a task each hold one more (N, B) float array
-    while they decode."""
+    (``SimulationRun.draw_key``).
+
+    The chunk draws its payload (and CRC) once, as (K, B) words sent, then
+    streams its frames in blocks of at most ``BLOCK_ELEMS`` tree elements:
+    each block makes its ``_channel_draw``, continuing the chunk's one
+    stream, and each run then encodes the block's words, forms its LLRs,
+    decodes and counts its errors in the tree layout (see the module
+    docstring).  Frames decode independently, so the counts do not depend
+    on the block size.  The last run forms its LLRs in place in the block's
+    channel draw; each earlier run holds one more float array of one block
+    while it decodes.
+    """
     runs, chunk_index, chunk_trials = task
-    results = []
-    for i, run in enumerate(runs):
-        dec = run.decoder.build(run.spec, run.info_idx + 1)
-        if not i:
-            word, draw = _draw(run, chunk_index, chunk_trials, dec._perm)
-        x = np.zeros((run.spec.n_mother, chunk_trials), dtype=np.int8)
-        x[run.info_idx] = word.T
-        llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
-                    draw, dec._perm, in_place=i == len(runs) - 1)
-        del x  # the codeword bits are not held while the tree arrays grow
-        diff = dec._decode_tree(llr)[0] != word.T
-        results.append((diff.sum(axis=1, dtype=np.int64), int(diff.any(axis=0).sum())))
-    return results
+    decs = [run.decoder.build(run.spec, run.info_idx + 1) for run in runs]
+    first, perm = runs[0], decs[0]._perm
+    n = first.spec.n_mother
+    rng = np.random.Generator(np.random.Philox(key=[first.seed, chunk_index]))
+    word = rng.integers(0, 2, size=(chunk_trials, first.info_idx.size - first.decoder.crc_len),
+                        dtype=np.int8)
+    if first.decoder.crc_len:
+        word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
+    word = np.ascontiguousarray(word.T)
+    errors = [np.zeros(len(word), dtype=np.int64) for _ in runs]
+    blocks = [0] * len(runs)
+    for frames in slabs((chunk_trials, n), BLOCK_ELEMS):
+        sent = word[:, frames]
+        draw = _channel_draw(first.model, first.effective_rate, rng,
+                             (sent.shape[1], n), perm)
+        for i, (run, dec) in enumerate(zip(runs, decs)):
+            x = np.zeros((n, sent.shape[1]), dtype=np.int8)
+            x[run.info_idx] = sent
+            llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
+                        draw, perm, in_place=i == len(runs) - 1)
+            del x  # the codeword bits are not held while the tree arrays grow
+            diff = dec._decode_tree(llr)[0] != sent
+            errors[i] += diff.sum(axis=1, dtype=np.int64)
+            blocks[i] += int(diff.any(axis=0).sum())
+    return list(zip(errors, blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,12 +380,13 @@ def run_batch(runs: list[SimulationRun], pool: WorkerPool | None = None) -> list
     dealt out in turn; each task makes the group's draws once for all its
     runs.  All tasks go to ``pool`` in one map, one task at a time, so the
     workers stay busy across group boundaries; with no pool each group is one
-    task, run in-process.  A task of several runs holds one extra (N, B)
-    float array while it decodes (an in-process ``compare`` at N=1024 pays
-    this); a run alone in its group, such as every ``evaluate`` point,
-    allocates what it did as a task of its own.  Each
-    run's LLRs come from the same draws and ops whatever task holds it, so
-    the reports do not depend on the pool.
+    task, run in-process.  A task streams its chunk in blocks of at most
+    ``BLOCK_ELEMS`` tree elements (``_simulate_chunk``), so its LLRs and
+    tree arrays are sized by one block, not by the chunk; a task of several
+    runs holds one extra float array of one block while it decodes, and a run alone in its group, such as every ``evaluate``
+    point, holds none.  Each run's LLRs come from the same draws and ops
+    whatever task holds it and however its chunk is blocked, so the reports
+    do not depend on the pool.
     """
     groups: dict[tuple, list[int]] = {}
     for r, run in enumerate(runs):

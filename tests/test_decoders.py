@@ -109,39 +109,42 @@ def test_zero_llr_propagation():
 
 
 def _f_rows_per_frame(monkeypatch, decoder, llrs):
-    """Rows ``decoder`` hands to ``f_node`` while decoding ``llrs``, per
-    frame of the batch: (tree rows, guard rows).  A tree call on
-    (rows, B', ...) operands counts rows in each of its B' frames, and a
-    rate-1 guard step on (B',) per-frame minima counts one row in each."""
+    """Rows ``decoder`` hands to ``f_node`` while decoding ``llrs``, and its
+    rate-1 guard evaluations, per frame of the batch: (tree rows, guard
+    evaluations).  A call on (rows, B', ...) operands counts rows in each of
+    its B' frames, and a guard on a node's (w, B') LLRs one evaluation in
+    each."""
     tree, guard = [], []
-    f = decoders.f_node
+    f, walk = decoders.f_node, decoders._rate1_walk
 
-    def counting(l_a, l_b):
-        shape = np.shape(l_a)
-        if len(shape) == 1:
-            guard.append(shape[0])
-        else:
-            tree.append(shape[0] * shape[1])
+    def counting_f(l_a, l_b):
+        tree.append(np.shape(l_a)[0] * np.shape(l_a)[1])
         return f(l_a, l_b)
 
-    monkeypatch.setattr(decoders, "f_node", counting)
+    def counting_walk(llr):
+        guard.append(llr.shape[1])
+        return walk(llr)
+
+    monkeypatch.setattr(decoders, "f_node", counting_f)
+    monkeypatch.setattr(decoders, "_rate1_walk", counting_walk)
     decoder.decode(llrs)
     monkeypatch.setattr(decoders, "f_node", f)
+    monkeypatch.setattr(decoders, "_rate1_walk", walk)
     return Fraction(sum(tree), len(llrs)), Fraction(sum(guard), len(llrs))
 
 
 def _structural_f_rows(spec, pattern, info, skip_rate0, llrs=None):
-    """(f rows, guard rows) per frame with no operand row known to be ±0,
-    when only the punctured rows of the channel LLRs are ±0: the tree walk
-    on masks alone.  SC skips rate-0 subtrees (``skip_rate0``); SCL visits
-    every node.
+    """(f rows, guard evaluations) per frame with no operand row known to
+    be ±0, when only the punctured rows of the channel LLRs are ±0: the
+    tree walk on masks alone.  SC skips rate-0 subtrees (``skip_rate0``);
+    SCL visits every node.
 
     Given the (B, N) channel ``llrs``, SC's rate-1 shortcut as well: at a
     rate-1 node of width w >= 2 with no ±0 row, each frame still walking
-    takes log2 w guard rows, and leaves the walk when f(m, m) applied
-    log2 w times to its min |LLR| m over the node reaches the guard.  The
-    node LLRs are computed in full by ``f_node`` and ``g_node`` from the
-    plain list decoder's decisions, with no shortcut.
+    takes one guard evaluation, and leaves the walk when its min |LLR| over
+    the node is at least the threshold θ_k, w = 2^k.  The node LLRs are
+    computed in full by ``f_node`` and ``g_node`` from the plain list
+    decoder's decisions, with no shortcut.
     """
     info_mask = np.zeros(spec.n_mother, dtype=bool)
     info_mask[np.asarray(info) - 1] = True
@@ -163,11 +166,9 @@ def _structural_f_rows(spec, pattern, info, skip_rate0, llrs=None):
         left, right = info_mask[base:base + half], info_mask[base + half:base + 2 * half]
         guard = 0
         if shortcut and left.all() and right.all() and not zero.any():
-            m = np.abs(llr).min(axis=1)
-            for _ in range(half.bit_length()):
-                m = f_node(m, m)
-            guard = frames.size * half.bit_length()
-            walking = m < decoders.RATE1_GUARD
+            guard = frames.size
+            walking = (np.abs(llr).min(axis=1)
+                       < decoders.RATE1_THRESHOLDS[half.bit_length() - 1])
             llr, frames = llr[walking], frames[walking]
         both, either = zero[:half] & zero[half:], zero[half:] | zero[:half]
         a, b = llr[:, :half], llr[:, half:]
@@ -199,18 +200,18 @@ def test_f_runs_only_on_rows_that_can_be_nonzero(monkeypatch):
     # decoders call f_node only on the other rows.  Without the skip, SC at
     # N=1024 on QUP takes 3487 rows per frame and SCL at N=128 takes 448.
     # LLRs scaled to 1e-10 or less fail every rate-1 guard, so SC walks its
-    # whole tree and adds log2 w guard rows per rate-1 node of width w.
+    # whole tree and evaluates one guard per frame at each rate-1 node.
     spec = CodeSpec(1024, 512)
     pattern = qup_pattern(spec, 224)
     info, llr = _count_case(spec, pattern, 2.0)
     assert _structural_f_rows(spec, pattern, info, skip_rate0=True) == (3039, 0)
     tiny = llr * 1e-12
     want = _structural_f_rows(spec, pattern, info, True, tiny)
-    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), tiny) == want == (3039, 710)
+    assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), tiny) == want == (3039, 416)
     # On noisy frames most frames pass the guards and skip the nodes' rows.
     want = _structural_f_rows(spec, pattern, info, True, llr)
     assert _f_rows_per_frame(monkeypatch, SCDecoder(spec, info), llr) == want
-    assert want[0] < 3039 and 0 < want[1] < 710
+    assert want[0] < 3039 and 0 < want[1] < 416
 
     # scattered punctured rows (the reduced space's odd bits): one row gather
     spec = CodeSpec(64, 32)
@@ -429,6 +430,23 @@ def test_sc_rate1_nodes_match_plain_list_decoder_on_tiny_llrs():
         want, _ = _reference_scl(llr, info, 1, 0)
         got = SCDecoder(spec, info).decode(llr)
         assert np.array_equal(got, want), (case, spec, info)
+
+
+def test_rate1_thresholds_reach_the_guard_and_are_tight():
+    # The rate-1 shortcut's proof needs f_node's chain at θ_k to reach the
+    # guard under the SIMD dispatch in use; the bits of θ_k are not pinned,
+    # since the chain's last bits differ between dispatches.  Each θ_k is
+    # also no more than 0.1% above the least value that reaches it.
+    def chain(m, k):
+        m = np.array([m])
+        for _ in range(k):
+            m = f_node(m, m)
+        return m[0]
+
+    assert len(decoders.RATE1_THRESHOLDS) == 20
+    for k, theta in enumerate(decoders.RATE1_THRESHOLDS, 1):
+        assert chain(theta, k) >= decoders.RATE1_GUARD, k
+        assert chain(theta * (1 - 1e-3), k) < decoders.RATE1_GUARD, k
 
 
 @settings(max_examples=200, deadline=None)

@@ -448,6 +448,9 @@ def test_batch_matches_runs_alone_with_and_without_pool():
 
 
 def test_runs_sharing_a_seed_draw_each_chunk_once(monkeypatch):
+    # One payload draw per (group, chunk), and one channel draw per block of
+    # the chunk, continuing the chunk's stream: chunk 0 in blocks of 3000
+    # frames, the last short, and the short chunk 1 in one block.
     spec = CodeSpec(16, 8)
     rng = np.random.default_rng(3)
     patterns = {_random_pattern(spec, 4, rng) for _ in range(40)}
@@ -456,15 +459,30 @@ def test_runs_sharing_a_seed_draw_each_chunk_once(monkeypatch):
             for pattern in sorted(patterns, key=lambda p: p.indices)[:6]]
     assert len({run.pattern.indices for run in runs}) == 6
     draws = []
-    real_draw = montecarlo._draw
+    real_generator, real_channel_draw = np.random.Generator, montecarlo._channel_draw
 
-    def counting_draw(run, chunk_index, chunk_trials, perm):
-        draws.append((chunk_index, chunk_trials))
-        return real_draw(run, chunk_index, chunk_trials, perm)
+    class CountingGenerator:
+        def __init__(self, bit_generator):
+            self._rng = real_generator(bit_generator)
 
-    monkeypatch.setattr(montecarlo, "_draw", counting_draw)
+        def integers(self, *args, size, **kwargs):
+            draws.append(("payload",) + size)
+            return self._rng.integers(*args, size=size, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    def counting_channel_draw(model, effective_rate, rng, shape, perm):
+        draws.append(("channel",) + shape)
+        return real_channel_draw(model, effective_rate, rng, shape, perm)
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    monkeypatch.setattr(montecarlo, "_channel_draw", counting_channel_draw)
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 16 * 3000)
     run_batch(runs)
-    assert draws == [(0, CHUNK_TRIALS), (1, 100)]
+    assert draws == [("payload", CHUNK_TRIALS, 8), ("channel", 3000, 16),
+                     ("channel", 3000, 16), ("channel", CHUNK_TRIALS - 6000, 16),
+                     ("payload", 100, 8), ("channel", 100, 16)]
 
 
 def test_one_chunk_generation_sends_a_task_to_every_process(monkeypatch):

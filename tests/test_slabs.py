@@ -8,13 +8,17 @@ ufuncs in the order the formula reads.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polarkit import (ChannelModel, CodeSpec, DecoderConfig, core, f_node, g_node,
-                      load_pattern, qup_pattern, reference_pattern_path, simulate)
+from polarkit import (ChannelModel, CodeSpec, DecoderConfig, PuncturingPattern, core,
+                      f_node, g_node, load_pattern, montecarlo, qup_pattern,
+                      reference_pattern_path, rqup_pattern, simulate)
 from polarkit.core import slabs
+from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, _simulate_chunk,
+                                 matched_information_set, run_batch)
 from test_scl_golden import GOLDEN, SC_GOLDEN, SNRS_DB, _digest, _sc_digest
 
 
@@ -185,3 +189,62 @@ def test_simulate_reports_do_not_depend_on_the_slab_size(monkeypatch, model):
         assert _report(simulate(spec, pattern, info, model, **kwargs)) == want
         assert _report(simulate(CodeSpec(128, 64), pattern128, info128, model,
                                 **scl)) == want_scl
+
+
+def _block_runs(model):
+    """(N, runs) pairs: a shared-seed group of three N=1024 SC runs (QUP,
+    RQUP and a random pattern, each puncturing 224 bits), and one N=128
+    CRC-aided SCL run with L=4."""
+    spec = CodeSpec(1024, 512)
+    rng = np.random.default_rng(5)
+    patterns = [qup_pattern(spec, 224), rqup_pattern(spec, 224),
+                PuncturingPattern(1024, tuple(sorted(
+                    int(i) for i in rng.choice(np.arange(1, 1025), 224, replace=False))))]
+    group = [SimulationRun.plan(spec, p, matched_information_set(spec, p, ChannelModel.awgn(2.0)),
+                                model, trials=70, seed=11) for p in patterns]
+    assert len({run.draw_key() for run in group}) == 1
+    pattern128, info128, _ = load_pattern(reference_pattern_path("de_n128_k64_np28.json"))
+    scl = SimulationRun.plan(CodeSpec(128, 64), pattern128, info128, model,
+                             DecoderConfig(list_size=4, crc_len=16), trials=70, seed=12)
+    return [(1024, group), (128, [scl])]
+
+
+@pytest.mark.parametrize("model", [ChannelModel.awgn(2.0), ChannelModel.bec(0.3),
+                                   ChannelModel.awgn(math.inf)],
+                         ids=["awgn", "bec", "noiseless"])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, model):
+    # Chunks of 32 frames, the last of 6, streamed in blocks of 1, 7 and 12
+    # frames (12 divides neither chunk) give the reports of one block per
+    # chunk, in process, for the shared-seed group and for SCL.
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 32)
+    for n, runs in _block_runs(model):
+        assert [sz for _, _, sz in runs[0].jobs()] == [32, 32, 6]
+        reports = {}
+        for frames in (32, 1, 7, 12):
+            monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", frames * n)
+            reports[frames] = [_report(r) for r in run_batch(runs)]
+        assert reports[1] == reports[7] == reports[12] == reports[32]
+
+
+def test_long_code_chunk_streams_in_bounded_memory(monkeypatch):
+    # One 8192-frame chunk at N=1024 holds its LLRs and tree arrays for one
+    # block of frames at a time; as one block it peaks near 140 MB.  Its
+    # counts equal those of the chunk decoded as one block of 3000 frames
+    # (which divides it not) and as one block.
+    spec = CodeSpec(1024, 512)
+    pattern = qup_pattern(spec, 224)
+    run = SimulationRun.plan(spec, pattern, matched_information_set(
+        spec, pattern, ChannelModel.awgn(2.0)), ChannelModel.awgn(2.0), trials=CHUNK_TRIALS)
+    task = run.jobs()[0]
+    tracemalloc.start()
+    try:
+        (errs, blocks), = _simulate_chunk(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+    assert blocks > 0
+    for block in (3000 * 1024, CHUNK_TRIALS * 1024):
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", block)
+        (want_errs, want_blocks), = _simulate_chunk(task)
+        assert np.array_equal(errs, want_errs) and blocks == want_blocks
