@@ -29,7 +29,8 @@ RATE1_GUARD = 1e-9
 # the hard decision of a rate-1 node of width 2^k.  Each is the least m whose
 # chain of f_node(m, m) applied k times reaches RATE1_GUARD, raised by 1e-5
 # relative and rounded up to six digits, so that its chain reaches the guard
-# under every SIMD dispatch of exp and log1p.  Wider nodes are not shortcut.
+# under other SIMD dispatches of exp and log1p too.  Wider nodes are not
+# shortcut.
 RATE1_THRESHOLDS = (4.47219e-05, 0.00945759, 0.13775, 0.537013, 1.13112, 1.79717,
                     2.48338, 3.17479, 3.8675, 4.56055, 5.25368, 5.94682, 6.63997,
                     7.33313, 8.02628, 8.71944, 9.41259, 10.1058, 10.7989, 11.4921)

@@ -258,6 +258,7 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
             diff = dec._decode_tree(llr)[0] != sent
             errors[i] += diff.sum(axis=1, dtype=np.int64)
             blocks[i] += int(diff.any(axis=0).sum())
+        del draw, llr, diff  # freed before the next block's draw is allocated
     return list(zip(errors, blocks))
 
 
