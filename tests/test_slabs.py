@@ -1,6 +1,8 @@
 """The slab kernels: ``f_node``, ``g_node``, the LLR formation and the channel
 draw run large elementwise work on axis-0 slabs of ``core.SLAB_ELEMS``
-elements, and must give the bytes of the whole-array formulas.
+elements, and must give the bytes of the whole-array formulas.  A Monte Carlo
+chunk streams its frames in blocks of ``montecarlo.BLOCK_ELEMS`` tree
+elements, and its reports must not depend on the block size either.
 
 The references below evaluate each formula with full-array temporaries, the
 ufuncs in the order the formula reads.
@@ -229,8 +231,8 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, model):
 def test_long_code_chunk_streams_in_bounded_memory(monkeypatch):
     # One 8192-frame chunk at N=1024 holds its LLRs and tree arrays for one
     # block of frames at a time; as one block it peaks near 140 MB.  Its
-    # counts equal those of the chunk decoded as one block of 3000 frames
-    # (which divides it not) and as one block.
+    # counts equal those of the chunk decoded in blocks of 3000 frames
+    # (which do not divide it) and as one block.
     spec = CodeSpec(1024, 512)
     pattern = qup_pattern(spec, 224)
     run = SimulationRun.plan(spec, pattern, matched_information_set(
