@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +45,9 @@ from .puncturing import PuncturingPattern
 HARD_LLR = 1e4
 CHUNK_TRIALS = 8192
 # Tree elements (N x frames) in one block of a chunk (see ``_simulate_chunk``):
-# 16 MB of float64 LLRs, 2048 frames at N=1024.  A chunk at N <= 256 is one
+# 8 MB of float64 LLRs, 1024 frames at N=1024.  A chunk at N <= 128 is one
 # block.
-BLOCK_ELEMS = 2 ** 21
+BLOCK_ELEMS = 2 ** 20
 # Tags of the seed streams (see ``derive_seed``): a search's evaluations per
 # generation, its final confirmation run, and a sweep's increments per point.
 SEED_STREAMS = {"evaluation": 1, "confirmation": 2, "sweep": 3}
@@ -168,24 +169,24 @@ def channel_llrs(x, model: ChannelModel, pattern: PuncturingPattern,
     return llr.T.reshape(x.shape)
 
 
-def _channel_draw(model, effective_rate, rng, shape, perm):
+def _channel_draw(model, effective_rate, rng, shape, perm, out=None):
     """The (B, N) channel draw of ``shape`` gathered into the (N, B) layout
     whose row i is codeword bit perm[i] (perm an involution): the AWGN noise,
     the BEC's erasures (True where erased), or None for the noiseless
-    channel, which draws nothing.
+    channel, which draws nothing.  The draw is written into ``out``, an
+    (N, B) array of ``_draw_dtype``, if one is given.
 
     The draw is made in consecutive slabs of frames, the rows of
     ``core.slabs(shape)``, one generator call each; the calls continue one
     stream, so the draw is the one a single (B, N) call makes.  Each slab
     is gathered into the layout while it is in cache.
     """
-    if model.kind == "bec":
-        draw = np.empty(shape[::-1], dtype=bool)
-    else:
-        sigma2 = noise_variance(model.ebn0_db, effective_rate)
-        if not sigma2:
-            return None
-        draw, scale = np.empty(shape[::-1]), math.sqrt(sigma2)
+    dtype = _draw_dtype(model, effective_rate)
+    if dtype is None:
+        return None
+    draw = np.empty(shape[::-1], dtype) if out is None else out
+    scale = 0.0 if model.kind == "bec" else math.sqrt(
+        noise_variance(model.ebn0_db, effective_rate))
     for frames in slabs(shape):
         size = (frames.stop - frames.start, shape[1])
         if model.kind == "bec":
@@ -193,6 +194,14 @@ def _channel_draw(model, effective_rate, rng, shape, perm):
         else:
             draw[:, frames] = rng.normal(0.0, scale, size=size).T[perm]
     return draw
+
+
+def _draw_dtype(model, effective_rate):
+    """The dtype of ``_channel_draw``'s draw: bool erasures on a BEC, float64
+    noise on AWGN, or None for the noiseless channel."""
+    if model.kind == "bec":
+        return np.dtype(bool)
+    return np.dtype(np.float64) if noise_variance(model.ebn0_db, effective_rate) else None
 
 
 def _llrs(x, model, pattern, effective_rate, draw, perm, in_place=True):
@@ -232,6 +241,16 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
     on the block size.  The last run forms its LLRs in place in the block's
     channel draw; each earlier run holds one more float array of one block
     while it decodes.
+
+    A chunk of several blocks whose channel draws something makes its
+    channel draws in one helper thread, one block ahead of the decoding,
+    into two buffers of one block that it allocates here: the helper draws
+    block 0 while this thread computes the CRC and the (K, B) transpose,
+    and block b + 1 while this thread decodes block b.  The helper alone
+    calls the generator after the payload draw, block by block in stream
+    order, so the draws are the ones of a chunk without it.  It runs only
+    ``_channel_draw``, and it is joined, and its errors re-raised here,
+    before the chunk returns.
     """
     runs, chunk_index, chunk_trials = task
     decs = [run.decoder.build(run.spec, run.info_idx + 1) for run in runs]
@@ -240,26 +259,51 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
     rng = np.random.Generator(np.random.Philox(key=[first.seed, chunk_index]))
     word = rng.integers(0, 2, size=(chunk_trials, first.info_idx.size - first.decoder.crc_len),
                         dtype=np.int8)
-    if first.decoder.crc_len:
-        word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
-    word = np.ascontiguousarray(word.T)
-    errors = [np.zeros(len(word), dtype=np.int64) for _ in runs]
-    blocks = [0] * len(runs)
-    for frames in slabs((chunk_trials, n), BLOCK_ELEMS):
-        sent = word[:, frames]
-        draw = _channel_draw(first.model, first.effective_rate, rng,
-                             (sent.shape[1], n), perm)
-        for i, (run, dec) in enumerate(zip(runs, decs)):
-            x = np.zeros((n, sent.shape[1]), dtype=np.int8)
-            x[run.info_idx] = sent
-            llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
-                        draw, perm, in_place=i == len(runs) - 1)
-            del x  # the codeword bits are not held while the tree arrays grow
-            diff = dec._decode_tree(llr)[0] != sent
-            errors[i] += diff.sum(axis=1, dtype=np.int64)
-            blocks[i] += int(diff.any(axis=0).sum())
-        del draw, llr, diff  # freed before the next block's draw is allocated
-    return list(zip(errors, blocks))
+    blocks = slabs((chunk_trials, n), BLOCK_ELEMS)
+    dtype = _draw_dtype(first.model, first.effective_rate)
+    with contextlib.ExitStack() as stack:
+        if len(blocks) > 1 and dtype is not None:
+            submit = stack.enter_context(ThreadPoolExecutor(1)).submit
+            buffers = [np.empty(n * (blocks[0].stop - blocks[0].start), dtype)
+                       for _ in range(2)]
+        else:
+            submit, buffers = _run_now, None
+
+        def draw(b):
+            frames = blocks[b].stop - blocks[b].start
+            out = None if buffers is None else buffers[b % 2][:n * frames].reshape(n, frames)
+            return submit(_channel_draw, first.model, first.effective_rate, rng,
+                          (frames, n), perm, out)
+
+        pending = draw(0)
+        if first.decoder.crc_len:
+            word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
+        word = np.ascontiguousarray(word.T)
+        errors = [np.zeros(len(word), dtype=np.int64) for _ in runs]
+        blocks_wrong = [0] * len(runs)
+        for b, frames in enumerate(blocks):
+            block_draw = pending.result()
+            if b + 1 < len(blocks):
+                pending = draw(b + 1)  # into the buffer block b - 1 is done with
+            sent = word[:, frames]
+            for i, (run, dec) in enumerate(zip(runs, decs)):
+                x = np.zeros((n, sent.shape[1]), dtype=np.int8)
+                x[run.info_idx] = sent
+                llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
+                            block_draw, perm, in_place=i == len(runs) - 1)
+                del x  # the codeword bits are not held while the tree arrays grow
+                diff = dec._decode_tree(llr)[0] != sent
+                errors[i] += diff.sum(axis=1, dtype=np.int64)
+                blocks_wrong[i] += int(diff.any(axis=0).sum())
+            del block_draw, llr, diff  # a block's arrays are not held into the next
+    return list(zip(errors, blocks_wrong))
+
+
+def _run_now(fn, *args) -> Future:
+    """``fn(*args)``, called in this thread, as a finished future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 @dataclass(frozen=True, eq=False)

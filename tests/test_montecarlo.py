@@ -1,13 +1,18 @@
 import dataclasses
+import importlib
+import importlib.util
 import math
 import pickle
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig, DeConfig,
                       PuncturingPattern, SCDecoder, SCLDecoder, bit_reversal_permutation,
-                      channel_llrs, de_optimize, generator_matrix, montecarlo,
+                      channel_llrs, core, de_optimize, generator_matrix, montecarlo,
                       noise_variance, objective, qup_pattern, simulate)
 from polarkit.decoders import crc16_remainder_bits
 from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, _simulate_chunk, run_batch,
@@ -472,9 +477,9 @@ def test_runs_sharing_a_seed_draw_each_chunk_once(monkeypatch):
         def __getattr__(self, name):
             return getattr(self._rng, name)
 
-    def counting_channel_draw(model, effective_rate, rng, shape, perm):
+    def counting_channel_draw(model, effective_rate, rng, shape, perm, out=None):
         draws.append(("channel",) + shape)
-        return real_channel_draw(model, effective_rate, rng, shape, perm)
+        return real_channel_draw(model, effective_rate, rng, shape, perm, out)
 
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     monkeypatch.setattr(montecarlo, "_channel_draw", counting_channel_draw)
@@ -483,6 +488,128 @@ def test_runs_sharing_a_seed_draw_each_chunk_once(monkeypatch):
     assert draws == [("payload", CHUNK_TRIALS, 8), ("channel", 3000, 16),
                      ("channel", 3000, 16), ("channel", CHUNK_TRIALS - 6000, 16),
                      ("payload", 100, 8), ("channel", 100, 16)]
+
+
+# ---------------------------------------------------------------------------
+# The draw pipeline: a chunk of several blocks whose channel draws something
+# makes its channel draws one block ahead in one helper thread.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """Names of every ``threading.Thread`` started."""
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def _chunk_task(n, model, trials, decoder=DecoderConfig()):
+    spec = CodeSpec(n, n // 2)
+    pattern = qup_pattern(spec, n // 8)
+    run = SimulationRun.plan(spec, pattern, tuple(range(n // 2 + 1, n + 1)), model,
+                             decoder, trials=trials, seed=4)
+    return run.jobs()[0]
+
+
+def test_pipelined_chunk_joins_its_helper_thread(monkeypatch, threads_started):
+    # Six blocks of 100 frames: one helper thread, gone when the chunk returns,
+    # and the counts of the chunk as one block.
+    task = _chunk_task(256, ChannelModel.awgn(2.0), 600)
+    want = _simulate_chunk(task)
+    assert threads_started == []
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 256 * 100)
+    before = threading.active_count()
+    got = _simulate_chunk(task)
+    assert threading.active_count() == before
+    assert len(threads_started) == 1
+    assert [(e.tolist(), b) for e, b in got] == [(e.tolist(), b) for e, b in want]
+
+
+def test_decoder_error_in_a_pipelined_chunk_reaches_the_caller(monkeypatch, threads_started):
+    # The decoder raises on the second block while the helper draws the third:
+    # the helper is joined and the caller gets the decoder's own exception.
+    boom = RuntimeError("second block")
+    calls = []
+    real_decode = SCDecoder._decode_tree
+
+    def failing_decode(self, llr):
+        calls.append(llr.shape)
+        if len(calls) == 2:
+            raise boom
+        return real_decode(self, llr)
+
+    monkeypatch.setattr(SCDecoder, "_decode_tree", failing_decode)
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 256 * 100)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        _simulate_chunk(_chunk_task(256, ChannelModel.awgn(2.0), 600))
+    assert caught.value is boom
+    assert threading.active_count() == before
+    assert len(threads_started) == 1 and calls == [(256, 100)] * 2
+
+
+@pytest.mark.parametrize("n, model, trials, block_frames", [
+    (256, ChannelModel.awgn(2.0), 600, None),  # one block
+    (256, ChannelModel.awgn(math.inf), 600, 100),  # six blocks, nothing drawn
+    (64, ChannelModel.awgn(2.0), CHUNK_TRIALS, None),
+    (128, ChannelModel.bec(0.3), CHUNK_TRIALS, None),
+], ids=["one-block", "noiseless", "N64", "N128"])
+def test_chunks_with_nothing_to_draw_ahead_start_no_thread(monkeypatch, threads_started,
+                                                           n, model, trials, block_frames):
+    if block_frames is not None:
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", n * block_frames)
+    task = _chunk_task(n, model, trials)
+    assert len(core.slabs((trials, n), montecarlo.BLOCK_ELEMS)) == (
+        1 if block_frames is None else 6)
+    _simulate_chunk(task)
+    assert threads_started == []
+
+
+def _traced_names(monkeypatch):
+    """(module, attribute) of every function ``perfbench/tracer.py`` wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclass
+    spec.loader.exec_module(tracer)
+    return tracer.FUNCTIONS.values()
+
+
+def test_pipelined_chunk_calls_every_traced_name_on_the_calling_thread(monkeypatch,
+                                                                       threads_started):
+    # The benchmark's tracer keeps one span stack, which is not thread-safe:
+    # the helper thread must call none of the names it wraps.  Replaced as the
+    # tracer replaces them, by identity in every polarkit module.
+    callers = {}
+    replace = {}
+    for mod, attr in _traced_names(monkeypatch):
+        fn = getattr(importlib.import_module(f"polarkit.{mod}"), attr)
+
+        def wrapper(*args, _fn=fn, _name=attr, **kwargs):
+            callers.setdefault(_name, set()).add(threading.get_ident())
+            return _fn(*args, **kwargs)
+        replace[id(fn)] = (fn, wrapper)
+    for module in [importlib.import_module("polarkit")] + [
+            importlib.import_module(f"polarkit.{m}") for m in
+            ("core", "construction", "decoders", "montecarlo", "evolution", "puncturing",
+             "cli")]:
+        for attr, value in list(vars(module).items()):
+            hit = replace.get(id(value))
+            if hit is not None and hit[0] is value:
+                monkeypatch.setattr(module, attr, hit[1])
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 1024 * 100)
+    _simulate_chunk(_chunk_task(1024, ChannelModel.awgn(2.0), 350,
+                                DecoderConfig(list_size=1, crc_len=16)))
+    assert len(threads_started) == 1
+    assert {"f_node", "g_node", "bit_reversal_permutation",
+            "crc16_remainder_bits"} <= callers.keys()
+    assert all(threads == {threading.get_ident()} for threads in callers.values())
 
 
 def test_one_chunk_generation_sends_a_task_to_every_process(monkeypatch):
