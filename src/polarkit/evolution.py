@@ -54,8 +54,11 @@ class DeConfig:
     so ``run_batch`` draws each chunk's payload and channel once per process:
     each chunk's candidates are dealt out over ``workers`` tasks, and a task
     of several candidates holds one extra float array of one block of the
-    chunk (at most ``montecarlo.BLOCK_ELEMS`` elements) while it decodes.
-    Results do not depend on ``workers``.
+    chunk (at most ``montecarlo.BLOCK_ELEMS`` = 2^20 elements, 1024 frames
+    at N=1024) while it decodes.  ``workers`` counts processes; a chunk of
+    several blocks (a full chunk at N >= 256) also makes its channel
+    draws in one helper thread of its process, so ``workers=1`` can keep
+    two cores busy.  Results do not depend on ``workers``.
     ``confirm_trials`` is the trial count of a final re-evaluation of the
     winner under a separate seed, or None to skip it.
     """

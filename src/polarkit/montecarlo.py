@@ -3,7 +3,7 @@
 Runs are deterministic: trials are processed in fixed chunks of
 ``CHUNK_TRIALS`` (the last one short) and every chunk draws from a
 counter-based Philox generator keyed by (seed, chunk index), so results are
-bit-identical regardless of how many workers execute the chunks.
+bit-identical regardless of how many worker processes execute the chunks.
 The draw order is the contract: a chunk of B frames draws its (B, K - crc)
 random payload bits, then its (B, N) channel draw (AWGN noise or BEC
 uniforms), the latter in consecutive blocks of frames that continue one
@@ -15,7 +15,11 @@ draw into it, forms the LLRs there on cache-sized row slabs
 (``core.slabs``), and decodes to (K, frames) information bits there, so
 nothing passes through natural order.  SC and SCL decide each frame on its
 own, so the errors do not depend on the block size, and a chunk holds its
-LLRs and tree arrays for one block, not for all B frames.
+LLRs and tree arrays for one block, not for all B frames.  A chunk of
+several blocks whose channel draws something makes its channel draws one
+block ahead in one helper thread, in the same order, while it decodes the
+block before; the draw releases the interpreter lock, so it runs beside the
+decode.
 
 Runs that agree on a chunk's draw key (``SimulationRun.draw_key``, with the
 chunk's index and size) draw the same payload and channel for it, as a
@@ -31,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,18 +265,24 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
     blocks = slabs((chunk_trials, n), BLOCK_ELEMS)
     dtype = _draw_dtype(first.model, first.effective_rate)
     with contextlib.ExitStack() as stack:
+        pool = buffers = None
         if len(blocks) > 1 and dtype is not None:
-            submit = stack.enter_context(ThreadPoolExecutor(1)).submit
+            # Imported here: a chunk of one block, and importing polarkit,
+            # do not load concurrent.futures and the logging it imports.
+            from concurrent.futures import ThreadPoolExecutor
+            pool = stack.enter_context(ThreadPoolExecutor(1))
             buffers = [np.empty(n * (blocks[0].stop - blocks[0].start), dtype)
                        for _ in range(2)]
-        else:
-            submit, buffers = _run_now, None
 
         def draw(b):
+            """Block b's channel draw, as a call that returns it once made."""
             frames = blocks[b].stop - blocks[b].start
-            out = None if buffers is None else buffers[b % 2][:n * frames].reshape(n, frames)
-            return submit(_channel_draw, first.model, first.effective_rate, rng,
-                          (frames, n), perm, out)
+            args = (first.model, first.effective_rate, rng, (frames, n), perm)
+            if pool is None:
+                made = _channel_draw(*args)
+                return lambda: made
+            return pool.submit(_channel_draw, *args,
+                               buffers[b % 2][:n * frames].reshape(n, frames)).result
 
         pending = draw(0)
         if first.decoder.crc_len:
@@ -282,7 +291,7 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
         errors = [np.zeros(len(word), dtype=np.int64) for _ in runs]
         blocks_wrong = [0] * len(runs)
         for b, frames in enumerate(blocks):
-            block_draw = pending.result()
+            block_draw = pending()
             if b + 1 < len(blocks):
                 pending = draw(b + 1)  # into the buffer block b - 1 is done with
             sent = word[:, frames]
@@ -297,13 +306,6 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
                 blocks_wrong[i] += int(diff.any(axis=0).sum())
             del block_draw, llr, diff  # a block's arrays are not held into the next
     return list(zip(errors, blocks_wrong))
-
-
-def _run_now(fn, *args) -> Future:
-    """``fn(*args)``, called in this thread, as a finished future."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,12 +428,16 @@ def run_batch(runs: list[SimulationRun], pool: WorkerPool | None = None) -> list
     runs.  All tasks go to ``pool`` in one map, one task at a time, so the
     workers stay busy across group boundaries; with no pool each group is one
     task, run in-process.  A task streams its chunk in blocks of at most
-    ``BLOCK_ELEMS`` tree elements (``_simulate_chunk``), so its LLRs and
-    tree arrays are sized by one block, not by the chunk; a task of several
-    runs holds one extra float array of one block while it decodes, and a run alone in its group, such as every ``evaluate``
-    point, holds none.  Each run's LLRs come from the same draws and ops
-    whatever task holds it and however its chunk is blocked, so the reports
-    do not depend on the pool.
+    ``BLOCK_ELEMS`` tree elements (``_simulate_chunk``; 1024 frames at
+    N=1024, the whole chunk at N <= 128), so its LLRs and tree arrays are
+    sized by one block, not by the chunk; a task of several runs holds one
+    extra float array of one block while it decodes, and a run alone in its
+    group, such as every ``evaluate`` point, holds none.  ``pool.workers``
+    counts processes: a task of several blocks also makes its channel draws
+    in one helper thread while it decodes, so even a task run in-process
+    can keep two cores busy.  Each run's LLRs come from the same draws and
+    ops whatever task holds it and however its chunk is blocked, so the
+    reports do not depend on the pool.
     """
     groups: dict[tuple, list[int]] = {}
     for r, run in enumerate(runs):
