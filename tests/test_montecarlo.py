@@ -571,24 +571,26 @@ def test_chunks_with_nothing_to_draw_ahead_start_no_thread(monkeypatch, threads_
     assert threads_started == []
 
 
-def _traced_names(monkeypatch):
-    """(module, attribute) of every function ``perfbench/tracer.py`` wraps."""
+def _load_tracer(monkeypatch):
+    """The benchmark's ``perfbench/tracer.py``, loaded from the checkout."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclass
     spec.loader.exec_module(tracer)
-    return tracer.FUNCTIONS.values()
+    return tracer
 
 
 def test_pipelined_chunk_calls_every_traced_name_on_the_calling_thread(monkeypatch,
                                                                        threads_started):
     # The benchmark's tracer keeps one span stack, which is not thread-safe:
-    # the helper thread must call none of the names it wraps.  Replaced as the
-    # tracer replaces them, by identity in every polarkit module.
+    # the helper thread must call none of the functions it wraps.  They are
+    # replaced as the tracer replaces them, by identity in every module it
+    # names.
+    tracer = _load_tracer(monkeypatch)
     callers = {}
     replace = {}
-    for mod, attr in _traced_names(monkeypatch):
+    for mod, attr in tracer.FUNCTIONS.values():
         fn = getattr(importlib.import_module(f"polarkit.{mod}"), attr)
 
         def wrapper(*args, _fn=fn, _name=attr, **kwargs):
@@ -596,9 +598,7 @@ def test_pipelined_chunk_calls_every_traced_name_on_the_calling_thread(monkeypat
             return _fn(*args, **kwargs)
         replace[id(fn)] = (fn, wrapper)
     for module in [importlib.import_module("polarkit")] + [
-            importlib.import_module(f"polarkit.{m}") for m in
-            ("core", "construction", "decoders", "montecarlo", "evolution", "puncturing",
-             "cli")]:
+            importlib.import_module(f"polarkit.{m}") for m in tracer.MODULES]:
         for attr, value in list(vars(module).items()):
             hit = replace.get(id(value))
             if hit is not None and hit[0] is value:
