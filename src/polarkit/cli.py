@@ -19,8 +19,8 @@ from pathlib import Path
 from .core import CodeSpec
 from .evolution import DeConfig, de_optimize
 from .montecarlo import (BerReport, ChannelModel, DecoderConfig, SimulationRun,
-                         derive_seed, matched_information_set, run_batch,
-                         worker_pool)
+                         WorkerPool, derive_seed, matched_information_set,
+                         run_batch)
 from .puncturing import (PuncturingPattern, load_pattern, qup_pattern,
                          rqup_pattern, save_pattern)
 
@@ -304,7 +304,7 @@ def _sweep(paths: list[str], args) -> list[list]:
               for path, (pattern, info_set) in zip(paths, loaded)
               for snr_index, ebn0 in enumerate(snrs)]
     live, runs = points, [p.plan(decoder, args.trials, args.seed) for p in points]
-    with worker_pool(args.workers) as pool:
+    with WorkerPool(args.workers) as pool:
         while live:
             for point, report in zip(live, run_batch(runs, pool)):
                 point.add(report)

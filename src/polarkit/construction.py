@@ -2,9 +2,12 @@
 
 Two metrics are supported: exact Bhattacharyya parameters for the BEC, and
 LLR means propagated with the Gaussian approximation for BPSK over AWGN.
-Both run the encoder's stage loop (``core.butterflies``): leaf metrics sit on
-the coded bits, are permuted by bit reversal, and are combined in place pair
-by pair, widest stage first, until they reach the input bits in natural order.
+Both run one walk (``_walk``) over the encoder's stage loop
+(``core.butterflies``): leaf metrics sit on the coded bits, a punctured bit's
+at the metric of a bit never received, are permuted by bit reversal, and are
+combined in place pair by pair, widest stage first, until they reach the
+input bits in natural order.  The two differ only in their leaf values and
+their pair rule.
 """
 
 from __future__ import annotations
@@ -42,10 +45,21 @@ class ReliabilityVector:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
-def _check_pattern(spec: CodeSpec, pattern: PuncturingPattern) -> None:
+def _walk(spec: CodeSpec, pattern: PuncturingPattern, leaf: float, punctured: float,
+          combine, kind: str) -> ReliabilityVector:
+    """The reliability of ``kind`` of the input bit-channels: every coded bit
+    starts at ``leaf``, a punctured one at ``punctured``, and each stage of
+    ``core.butterflies`` over the bit-reversed leaves replaces a pair (a, b)
+    by ``combine(a, b)``, upper (degraded) branch first."""
     if pattern.n_mother != spec.n_mother:
         raise ValueError(f"pattern is for N={pattern.n_mother}, "
                          f"code has N={spec.n_mother}")
+    x = np.full(spec.n_mother, leaf)
+    x[pattern.zero_based()] = punctured
+    x = x[bit_reversal_permutation(spec.m)]
+    for a, b in butterflies(x):
+        a[...], b[...] = combine(a, b)
+    return ReliabilityVector(x, kind)
 
 
 def bec_bhattacharyya(spec: CodeSpec, epsilon: float,
@@ -58,13 +72,8 @@ def bec_bhattacharyya(spec: CodeSpec, epsilon: float,
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    _check_pattern(spec, pattern)
-    z = np.full(spec.n_mother, float(epsilon))
-    z[pattern.zero_based()] = 1.0
-    z = z[bit_reversal_permutation(spec.m)]
-    for a, b in butterflies(z):  # upper (degraded) branch to a, lower to b
-        a[...], b[...] = a + b - a * b, a * b
-    return ReliabilityVector(z, BHATTACHARYYA)
+    return _walk(spec, pattern, float(epsilon), 1.0,
+                 lambda a, b: (a + b - a * b, a * b), BHATTACHARYYA)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +176,9 @@ def ga_llr_means(spec: CodeSpec, design_ebn0_db: float,
                  effective_rate: float) -> ReliabilityVector:
     """Mean decision LLRs of the input bit-channels under the Gaussian
     approximation, with punctured coded bits entering at mean 0."""
-    _check_pattern(spec, pattern)
     sigma2 = design_noise_variance(design_ebn0_db, effective_rate)
-    mu = np.full(spec.n_mother, 2.0 / sigma2)
-    mu[pattern.zero_based()] = 0.0
-    mu = mu[bit_reversal_permutation(spec.m)]
-    for a, b in butterflies(mu):
-        a[...], b[...] = _ga_upper(a, b), a + b
-    return ReliabilityVector(mu, LLR_MEAN)
+    return _walk(spec, pattern, 2.0 / sigma2, 0.0,
+                 lambda a, b: (_ga_upper(a, b), a + b), LLR_MEAN)
 
 
 def select_information_set(reliability: ReliabilityVector, k: int) -> tuple[int, ...]:

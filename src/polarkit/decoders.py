@@ -54,29 +54,15 @@ def f_node(l_a, l_b):
     sign.  So every value is bit-identical to the formula evaluated with
     whole-array temporaries.
     """
-    l_a = np.asarray(l_a, dtype=np.float64)
-    l_b = np.asarray(l_b, dtype=np.float64)
-    out = np.empty(np.broadcast(l_a, l_b).shape)
-    rows = np.atleast_1d(out)  # a 0-d output is one slab of one row
-    if rows.size <= core.SLAB_ELEMS:
-        _f_slab(rows, l_a, l_b, np.empty((2,) + rows.shape))
-    else:
-        cuts = slabs(rows.shape)
-        scratch = np.empty((2,) + rows[cuts[0]].shape)
-        for cut in cuts:
-            o = rows[cut]
-            _f_slab(o, _slab(l_a, cut, rows), _slab(l_b, cut, rows),
-                    scratch[:, :len(o)])
-    return float(out) if out.ndim == 0 else out
+    return _by_slabs(_f_slab, 2, l_a, l_b)
 
 
 _SIGN_BIT = np.int64(np.iinfo(np.int64).min)  # only the IEEE sign bit set
 
 
-def _f_slab(o, a, b, scratch):
-    """``f_node`` of one slab into ``o``, with ``scratch`` two arrays of
-    ``o``'s shape."""
-    t, s = scratch
+def _f_slab(o, a, b, t, s):
+    """``f_node`` of one slab into ``o``, with ``t`` and ``s`` two scratch
+    arrays of ``o``'s shape."""
     ti, si = t.view(np.int64), s.view(np.int64)
     np.minimum(np.abs(a, out=t), np.abs(b, out=s), out=o)
     np.bitwise_xor(a.view(np.int64), b.view(np.int64), out=ti)
@@ -99,17 +85,31 @@ def g_node(l_a, l_b, v_hat):
     formula in its order, so every value is bit-identical to the formula
     evaluated with whole-array temporaries.
     """
-    l_a = np.asarray(l_a, dtype=np.float64)
-    l_b = np.asarray(l_b, dtype=np.float64)
-    v_hat = np.asarray(v_hat)
-    out = np.empty(np.broadcast(l_a, l_b, v_hat).shape)
-    rows = np.atleast_1d(out)
+    return _by_slabs(_g_slab, 0, l_a, l_b, np.asarray(v_hat))
+
+
+def _by_slabs(kernel, scratch, l_a, l_b, *rest):
+    """The output of the elementwise ``kernel(o, a, b, *rest, *spare)`` over
+    the float64 LLRs ``l_a`` and ``l_b`` and the arrays ``rest``, with
+    ``spare`` its ``scratch`` arrays of ``o``'s shape: a float for 0-d
+    operands, else the broadcast array.
+
+    An output of at most one slab (``core.SLAB_ELEMS``) is computed by one
+    kernel call on the whole operands.  A larger one is computed slab by slab
+    (``core.slabs``), in place in the output's slab and in scratch arrays of
+    one slab, each operand cut to the slab's rows by ``_slab``.
+    """
+    operands = (np.asarray(l_a, dtype=np.float64), np.asarray(l_b, dtype=np.float64), *rest)
+    out = np.empty(np.broadcast(*operands).shape)
+    rows = np.atleast_1d(out)  # a 0-d output is one slab of one row
     if rows.size <= core.SLAB_ELEMS:
-        _g_slab(rows, l_a, l_b, v_hat)
+        kernel(rows, *operands, *[np.empty(rows.shape) for _ in range(scratch)])
     else:
-        for cut in slabs(rows.shape):
-            _g_slab(rows[cut], _slab(l_a, cut, rows), _slab(l_b, cut, rows),
-                    _slab(v_hat, cut, rows))
+        cuts = slabs(rows.shape)
+        spare = [np.empty(rows[cuts[0]].shape) for _ in range(scratch)]
+        for cut in cuts:
+            o = rows[cut]
+            kernel(o, *[_slab(x, cut, rows) for x in operands], *[t[:len(o)] for t in spare])
     return float(out) if out.ndim == 0 else out
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .construction import design_noise_variance
 from .core import CodeSpec
-from .montecarlo import (ChannelModel, SimulationRun, derive_seed,
-                         matched_information_set, run_batch, worker_pool)
+from .montecarlo import (ChannelModel, SimulationRun, WorkerPool, derive_seed,
+                         matched_information_set, run_batch)
 from .puncturing import (PuncturingPattern, candidate_bits, check_np,
                          vector_to_pattern)
 
@@ -51,14 +51,9 @@ class DeConfig:
     generation, or one row with ``in_place``) sends the Monte Carlo chunks of
     all its candidates to the pool together; the information sets are
     selected in this process.  The candidates share the generation's seed,
-    so ``run_batch`` draws each chunk's payload and channel once per process:
-    each chunk's candidates are dealt out over ``workers`` tasks, and a task
-    of several candidates holds one extra float array of one block of the
-    chunk (at most ``montecarlo.BLOCK_ELEMS`` = 2^20 elements, 1024 frames
-    at N=1024) while it decodes.  ``workers`` counts processes; a chunk of
-    several blocks (a full chunk at N >= 256) also makes its channel
-    draws in one helper thread of its process, so ``workers=1`` can keep
-    two cores busy.  Results do not depend on ``workers``.
+    so ``run_batch`` draws each chunk's payload and channel once per task
+    (see ``montecarlo.run_batch`` for how a chunk is split and streamed).
+    Results do not depend on ``workers``.
     ``confirm_trials`` is the trial count of a final re-evaluation of the
     winner under a separate seed, or None to skip it.
     """
@@ -146,10 +141,10 @@ class _Evaluator:
     builds it before it opens a pool: n_p must pass ``check_np`` over the
     ``dimension`` candidate bits of the search space, and the design Eb/N0
     must give a finite positive noise variance at the design rate
-    K/(N - n_p), as the GA construction needs.  ``pool`` stays None (score in
-    this process) until the search sets it to its open pool.  Distinct
-    genotypes projecting onto the same pattern share one Monte Carlo run per
-    evaluation seed.
+    K/(N - n_p), as the GA construction needs.  ``pool`` is a one-worker
+    ``WorkerPool`` (score in this process) until the search sets it to its
+    open pool.  Distinct genotypes projecting onto the same pattern share one
+    Monte Carlo run per evaluation seed.
     """
 
     def __init__(self, spec: CodeSpec, n_p: int, config: DeConfig):
@@ -158,7 +153,7 @@ class _Evaluator:
         design_noise_variance(config.ebn0_db, spec.k_info / (spec.n_mother - n_p))
         self.spec, self.n_p, self.config = spec, n_p, config
         self.model = ChannelModel.awgn(config.ebn0_db)
-        self.pool = None
+        self.pool = WorkerPool(1)
         self.cache: dict = {}
         self.evaluations = 0
 
@@ -240,7 +235,7 @@ def de_optimize(spec: CodeSpec, n_p: int, config: DeConfig,
     # in_place: each replacement is visible to the next row's trial vector
     batches = [[i] for i in rows] if config.in_place else [rows]
     with contextlib.ExitStack() as stack:
-        evaluator.pool = stack.enter_context(worker_pool(config.workers))
+        evaluator.pool = stack.enter_context(WorkerPool(config.workers))
         pop = init_population(spec, n_p, config, rng=rng, evaluator=evaluator)
         log = stack.enter_context(open(log_path, "w")) if log_path else None
         history, stall = [], 0

@@ -264,13 +264,13 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
                         dtype=np.int8)
     blocks = slabs((chunk_trials, n), BLOCK_ELEMS)
     dtype = _draw_dtype(first.model, first.effective_rate)
+    helped = len(blocks) > 1 and dtype is not None
     with contextlib.ExitStack() as stack:
-        pool = buffers = None
-        if len(blocks) > 1 and dtype is not None:
+        if helped:
             # Imported here: a chunk of one block, and importing polarkit,
             # do not load concurrent.futures and the logging it imports.
             from concurrent.futures import ThreadPoolExecutor
-            pool = stack.enter_context(ThreadPoolExecutor(1))
+            helper = stack.enter_context(ThreadPoolExecutor(1))
             buffers = [np.empty(n * (blocks[0].stop - blocks[0].start), dtype)
                        for _ in range(2)]
 
@@ -278,11 +278,11 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
             """Block b's channel draw, as a call that returns it once made."""
             frames = blocks[b].stop - blocks[b].start
             args = (first.model, first.effective_rate, rng, (frames, n), perm)
-            if pool is None:
+            if not helped:
                 made = _channel_draw(*args)
                 return lambda: made
-            return pool.submit(_channel_draw, *args,
-                               buffers[b % 2][:n * frames].reshape(n, frames)).result
+            return helper.submit(_channel_draw, *args,
+                                 buffers[b % 2][:n * frames].reshape(n, frames)).result
 
         pending = draw(0)
         if first.decoder.crc_len:
@@ -389,34 +389,33 @@ class SimulationRun:
 
 
 class WorkerPool:
-    """A ``multiprocessing`` pool of ``workers`` processes, closed (its
-    processes terminated) on leaving the ``with`` block.  ``run_batch``
-    splits its work by ``workers``."""
+    """The ``workers`` processes that ``run_batch`` splits its work over: a
+    ``multiprocessing`` pool, closed (its processes terminated) on leaving
+    the ``with`` block, or for one worker this process itself."""
 
     def __init__(self, workers: int):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._pool = multiprocessing.Pool(processes=workers)
+        if workers > 1:
+            self._pool = multiprocessing.Pool(processes=workers)
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._pool.terminate()
+        if self.workers > 1:
+            self._pool.terminate()
 
     def map(self, fn, tasks: list) -> list:
         """``fn`` of each task, in order; the processes take one task at a time."""
+        if self.workers == 1:
+            return [fn(task) for task in tasks]
         return self._pool.map(fn, tasks, chunksize=1)
 
 
-def worker_pool(workers: int):
-    """Context manager giving a ``WorkerPool`` of ``workers`` processes, or
-    ``None`` when ``workers`` is 1 (chunks then run in-process)."""
-    if workers > 1:
-        return WorkerPool(workers)
-    return contextlib.nullcontext()
-
-
-def run_batch(runs: list[SimulationRun], pool: WorkerPool | None = None) -> list[BerReport]:
+def run_batch(runs: list[SimulationRun],
+              pool: WorkerPool = WorkerPool(1)) -> list[BerReport]:
     """Reports of ``runs``, in order.
 
     The chunks of all runs are grouped by draw key
@@ -426,8 +425,8 @@ def run_batch(runs: list[SimulationRun], pool: WorkerPool | None = None) -> list
     into ``pool.workers`` tasks, or one per run if it has fewer runs, its runs
     dealt out in turn; each task makes the group's draws once for all its
     runs.  All tasks go to ``pool`` in one map, one task at a time, so the
-    workers stay busy across group boundaries; with no pool each group is one
-    task, run in-process.  A task streams its chunk in blocks of at most
+    workers stay busy across group boundaries; on a one-worker pool, the
+    default, each group is one task, run in this process.  A task streams its chunk in blocks of at most
     ``BLOCK_ELEMS`` tree elements (``_simulate_chunk``; 1024 frames at
     N=1024, the whole chunk at N <= 128), so its LLRs and tree arrays are
     sized by one block, not by the chunk; a task of several runs holds one
@@ -443,17 +442,13 @@ def run_batch(runs: list[SimulationRun], pool: WorkerPool | None = None) -> list
     for r, run in enumerate(runs):
         for _, ci, sz in run.jobs():
             groups.setdefault((run.draw_key(), ci, sz), []).append(r)
-    processes = 1 if pool is None else pool.workers
     members, tasks = [], []
     for (_, ci, sz), rows in groups.items():
-        parts = min(processes, len(rows))
+        parts = min(pool.workers, len(rows))
         for part in (rows[i::parts] for i in range(parts)):
             members.append(part)
             tasks.append((tuple(runs[r] for r in part), ci, sz))
-    if pool is None:
-        results = [_simulate_chunk(task) for task in tasks]
-    else:
-        results = pool.map(_simulate_chunk, tasks)
+    results = pool.map(_simulate_chunk, tasks)
     chunks: list[list] = [[] for _ in runs]
     for part, result in zip(members, results):
         for r, chunk in zip(part, result):
@@ -482,7 +477,7 @@ def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: Channe
     run = SimulationRun.plan(spec, pattern, info_set, model, decoder=decoder,
                              trials=trials, seed=seed,
                              effective_rate=effective_rate)
-    with worker_pool(workers if trials > CHUNK_TRIALS else 1) as pool:
+    with WorkerPool(workers if trials > CHUNK_TRIALS else 1) as pool:
         return run_batch([run], pool)[0]
 
 

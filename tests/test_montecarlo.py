@@ -15,8 +15,8 @@ from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig, DeConfig
                       channel_llrs, core, de_optimize, generator_matrix, montecarlo,
                       noise_variance, objective, qup_pattern, simulate)
 from polarkit.decoders import crc16_remainder_bits
-from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, _simulate_chunk, run_batch,
-                                 worker_pool)
+from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, WorkerPool, _simulate_chunk,
+                                 run_batch)
 
 
 def test_channel_model_validation():
@@ -431,9 +431,10 @@ _BATCH = [(4, ChannelModel.awgn(1.0), [(0, _SC, 20000), (1, _SC, 20000), (2, _SC
           (8, ChannelModel.bec(0.3), [(0, _SC, 5000), (1, _SC, 5000), (0, _SCL4, 5000)])]
 
 
-def test_batch_matches_runs_alone_with_and_without_pool():
+def test_batch_matches_runs_alone_with_and_without_pool(pools_made):
     # At two seeds, the batch groups and splits the runs' chunks, yet every
-    # report equals its run's alone, in input order.
+    # report equals its run's alone, in input order.  A one-worker pool runs
+    # them in this process.
     spec = CodeSpec(32, 20)
     rng = np.random.default_rng(17)
     runs = []
@@ -448,8 +449,19 @@ def test_batch_matches_runs_alone_with_and_without_pool():
     assert len(set(chunks)) == 22 and len(chunks) == 34
     alone = [_fields(run_batch([run])[0]) for run in runs]
     assert [_fields(r) for r in run_batch(runs)] == alone
-    with worker_pool(2) as pool:
+    with WorkerPool(1) as pool:
         assert [_fields(r) for r in run_batch(runs, pool)] == alone
+    assert pools_made == []
+    with WorkerPool(2) as pool:
+        assert [_fields(r) for r in run_batch(runs, pool)] == alone
+    assert pools_made == [2]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_pool_rejects_fewer_than_one_worker(pools_made, workers):
+    with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+        WorkerPool(workers)
+    assert pools_made == []
 
 
 def test_runs_sharing_a_seed_draw_each_chunk_once(monkeypatch):

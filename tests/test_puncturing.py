@@ -142,6 +142,8 @@ def test_vector_to_pattern_validation():
     for n_p in (-1, 0):
         with pytest.raises(ValueError):
             vector_to_pattern(np.zeros(3), n_p, spec, reduced=True)
+    with pytest.raises(ValueError, match="^candidate must be a 1-D vector$"):
+        vector_to_pattern(np.zeros((1, 3)), 2, spec, reduced=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,7 +213,11 @@ def test_pattern_file_field_errors(tmp_path):
                                 ("indices", ["1", 5], "'indices': must be a list"),
                                 ("info_set", "x", "'info_set': must be a list"),
                                 ("info_set", [True, 3], "'info_set': must be a list"),
-                                ("info_set", [3, 3], "'info_set': duplicate")]:
+                                ("info_set", [3, 3], "'info_set': duplicate"),
+                                ("n_mother", 8.0, "'n_mother': must be an integer"),
+                                ("n_mother", True, "'n_mother': must be an integer"),
+                                ("n_p", 2.0, "'n_p': must be an integer"),
+                                ("n_p", True, "'n_p': must be an integer")]:
         with pytest.raises(PatternFileError, match=match):
             load_pattern(write({**good, field: value}))
     with pytest.raises(PatternFileError, match="JSON"):
