@@ -419,24 +419,23 @@ def run_batch(runs: list[SimulationRun],
     """Reports of ``runs``, in order.
 
     The chunks of all runs are grouped by draw key
-    (``SimulationRun.draw_key``, chunk index and chunk trials), so the runs
-    of a group share their draws, as a search's candidates under one
-    evaluation seed do.  Each group is split
-    into ``pool.workers`` tasks, or one per run if it has fewer runs, its runs
-    dealt out in turn; each task makes the group's draws once for all its
-    runs.  All tasks go to ``pool`` in one map, one task at a time, so the
-    workers stay busy across group boundaries; on a one-worker pool, the
-    default, each group is one task, run in this process.  A task streams its chunk in blocks of at most
-    ``BLOCK_ELEMS`` tree elements (``_simulate_chunk``; 1024 frames at
-    N=1024, the whole chunk at N <= 128), so its LLRs and tree arrays are
-    sized by one block, not by the chunk; a task of several runs holds one
-    extra float array of one block while it decodes, and a run alone in its
-    group, such as every ``evaluate`` point, holds none.  ``pool.workers``
-    counts processes: a task of several blocks also makes its channel draws
-    in one helper thread while it decodes, so even a task run in-process
-    can keep two cores busy.  Each run's LLRs come from the same draws and
-    ops whatever task holds it and however its chunk is blocked, so the
-    reports do not depend on the pool.
+    (``SimulationRun.draw_key``, chunk index and chunk trials), so the runs of
+    a group share their draws, as a search's candidates under one evaluation
+    seed do.  Each group is split into ``pool.workers`` tasks, or one per run
+    if it has fewer runs, its runs dealt out in turn; each task makes the
+    group's draws once for all its runs.  All tasks go to ``pool`` in one map,
+    one task at a time, so the workers stay busy across group boundaries; on a
+    one-worker pool, the default, each group is one task, run in this process.
+    A task streams its chunk in blocks of at most ``BLOCK_ELEMS`` tree
+    elements (``_simulate_chunk``; 1024 frames at N=1024, the whole chunk at
+    N <= 128), so its LLRs and tree arrays are sized by one block, not by the
+    chunk; a task of several runs holds one extra float array of one block
+    while it decodes, and a run alone in its group, such as every ``evaluate``
+    point, holds none.  ``pool.workers`` counts processes: a task of several
+    blocks also makes its channel draws in one helper thread while it decodes,
+    so even a task run in-process can keep two cores busy.  Each run's LLRs
+    come from the same draws and ops whatever task holds it and however its
+    chunk is blocked, so the reports do not depend on the pool.
     """
     groups: dict[tuple, list[int]] = {}
     for r, run in enumerate(runs):
