@@ -6,12 +6,12 @@ from .construction import (ReliabilityVector, bec_bhattacharyya, ga_llr_means,
                            noise_variance, select_information_set)
 from .core import (CodeSpec, bit_reversal_permutation, bit_reverse, encode,
                    generator_matrix)
-from .decoders import (SCDecoder, SCLDecoder, crc16_append, crc16_ccitt,
-                       crc16_check, f_node, g_node)
+from .decoders import (DecoderConfig, SCDecoder, SCLDecoder, crc16_append,
+                       crc16_ccitt, crc16_check, f_node, g_node)
 from .evolution import (DeConfig, DeResult, de_optimize, evaluation_seed,
                         init_population, make_trial)
-from .montecarlo import (BerReport, ChannelModel, DecoderConfig, channel_llrs,
-                         objective, simulate)
+from .montecarlo import (BerReport, ChannelModel, channel_llrs, objective,
+                         simulate)
 from .puncturing import (PatternFileError, PuncturingPattern,
                          branch_role_counts, candidate_bits, load_pattern,
                          qup_pattern, reference_pattern_path, rqup_pattern,

@@ -7,12 +7,14 @@ A decoder instance holds per-call scratch state, so one instance must not be
 shared across concurrent decodes; instances are cheap to construct.
 
 The list decoder copies path state lazily (see ``SCLDecoder``): arrays that
-every path shares are held once, a subtree that prunes the list returns a map
-from its surviving paths to the paths that entered it, and decided bits are
-recovered by backtracking parent pointers.
+every path shares are held once, and a subtree that prunes the list returns a
+map from its surviving paths to the paths that entered it.  Both decoders
+read their decided bits off the root's partial sums.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,8 +232,12 @@ class SCDecoder:
 
     def _decode_tree(self, llr: np.ndarray):
         """Decode the tree's (N, B) channel LLRs; returns the (K, B)
-        information bits and crc_ok, which is None (SC checks no CRC)."""
-        x, _ = self._recurse(llr, 0, ~llr.any(axis=1))
+        information bits and crc_ok, which is None (SC checks no CRC).
+
+        ``SCLDecoder`` passes (N, B, 1) LLRs and gets (K, B, L) bits, one
+        column per path of its final list.
+        """
+        x, _ = self._recurse(llr, 0, ~llr.reshape(len(llr), -1).any(axis=1))
         return core.polar_transform(x)[self.info_idx], None
 
     def _recurse(self, llr: np.ndarray, base: int, zero: np.ndarray):
@@ -311,10 +317,11 @@ class SCLDecoder(SCDecoder):
     arrays it still holds once per child subtree (its LLRs before ``g``,
     the left partial sums before combining), each in one ``np.take`` along
     the (W, B * L) view, and composes the maps of its two children as
-    ``np.take(left, right)``.  Decided bits are not copied at all: each
-    information leaf records every surviving path's bit and parent path
-    (one byte each), and the information bits of the final list are read by
-    walking those parent pointers back.
+    ``np.take(left, right)``.  Decided bits need no record of their own:
+    the left partial sums follow the right child's map, so column l of the
+    root's partial sums is the codeword of final path l, and its polar
+    transform holds that path's information bits, read off as in SC (Tal &
+    Vardy return their codeword the same way).
 
     At an information leaf each path's two extensions cost pm for the
     decision its LLR's sign favours and pm + |LLR| for the other, so the
@@ -328,13 +335,9 @@ class SCLDecoder(SCDecoder):
 
     def __init__(self, spec: CodeSpec, info_set, list_size: int = 8,
                  crc_len: int = 0):
-        if list_size < 1:
-            raise ValueError(f"list_size must be >= 1, got {list_size}")
-        if crc_len not in (0, CRC16_LEN):
-            raise ValueError(f"crc_len must be 0 or {CRC16_LEN}, got {crc_len}")
+        config = DecoderConfig(list_size, crc_len)
         super().__init__(spec, info_set)
-        if crc_len and crc_len >= self.info_idx.size:
-            raise ValueError("information set too small to carry the CRC")
+        config.check_room(self.info_idx)
         self.list_size = list_size
         self.crc_len = crc_len
 
@@ -358,11 +361,9 @@ class SCLDecoder(SCDecoder):
         self._pm[:, 0] = 0.0
         self._rows = np.arange(0, batch * lsz, lsz)[:, None]  # b * L
         self._cand = np.empty((batch, 2 * lsz))
-        self._trail = []
 
-        self._recurse(llr[:, :, None], 0, ~llr.any(axis=1))
-
-        info, pm, crc_ok = self._backtrack(), self._pm, None
+        info, _ = super()._decode_tree(llr[:, :, None])
+        pm, crc_ok = self._pm, None
         if self.crc_len:
             words = np.moveaxis(info, 0, -1)  # (B, L, K)
             got = crc16_remainder_bits(words[:, :, :-self.crc_len])
@@ -395,26 +396,51 @@ class SCLDecoder(SCDecoder):
         np.bitwise_and(swap, llr.view(np.int64) >> 63, out=swap)
         np.bitwise_xor(pmi, swap, out=cand[:, :lsz].view(np.int64))
         np.bitwise_xor(badi, swap, out=cand[:, lsz:].view(np.int64))
-        # The L best candidates, ties in candidate order, as one-byte indices.
+        # The L best candidates, ties in candidate order, as one-byte
+        # indices: the path-map arithmetic below runs faster on them.
         sel = np.argsort(cand, axis=1, kind="stable")[:, :lsz].astype(
             np.min_scalar_type(2 * lsz - 1))
         self._pm = np.take(cand, 2 * self._rows + sel)
         high = sel >= lsz
         src = sel - high.astype(sel.dtype) * lsz
-        bits = high.view(np.int8)
-        self._trail.append((bits, src))
-        return bits[None], self._rows + src
+        return high.view(np.int8)[None], self._rows + src
 
-    def _backtrack(self) -> np.ndarray:
-        """The (K, B, L) information bits of the final list, from the trail."""
-        batch, lsz = self._pm.shape
-        info = np.empty((len(self._trail), batch, lsz), dtype=np.int8)
-        path = self._rows + np.arange(lsz)
-        for k in range(len(self._trail) - 1, -1, -1):
-            bits, src = self._trail[k]
-            info[k] = np.take(bits, path)
-            path = self._rows + np.take(src, path)
-        return info
+
+@dataclass(frozen=True)
+class DecoderConfig:
+    """The decoder a simulation runs: a list decoder keeping ``list_size``
+    paths, whose last ``crc_len`` information bits (0 or 16) carry a CRC.
+
+    The default, one path and no CRC, is SC.  A list decoder with one path
+    makes SC's decisions (Tal & Vardy), and a CRC has no other path to
+    choose, so ``build`` runs SC's faster walk whenever ``list_size`` is 1,
+    with the same output.  ``SCLDecoder`` checks its settings here too.
+    """
+
+    list_size: int = 1
+    crc_len: int = 0
+
+    def __post_init__(self):
+        if self.list_size < 1:
+            raise ValueError(f"list_size must be >= 1, got {self.list_size}")
+        if self.crc_len not in (0, CRC16_LEN):
+            raise ValueError(f"crc_len must be 0 or {CRC16_LEN}, got {self.crc_len}")
+
+    def build(self, spec: CodeSpec, info_set) -> SCDecoder:
+        """The decoder for ``info_set``: ``SCDecoder`` for one path,
+        ``SCLDecoder`` otherwise.  The decoder validates the information set;
+        one too small to carry the CRC is rejected (``check_room``)."""
+        if self.list_size > 1:
+            return SCLDecoder(spec, info_set, self.list_size, self.crc_len)
+        dec = SCDecoder(spec, info_set)
+        self.check_room(dec.info_idx)
+        return dec
+
+    def check_room(self, info_idx: np.ndarray) -> None:
+        """Reject ``info_idx``, the information positions, if they are too
+        few to carry the CRC and at least one data bit."""
+        if self.crc_len >= info_idx.size:
+            raise ValueError("information set too small to carry the CRC")
 
 
 def _rate1_walk(llr: np.ndarray) -> np.ndarray:

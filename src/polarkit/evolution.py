@@ -55,7 +55,9 @@ class DeConfig:
     (see ``montecarlo.run_batch`` for how a chunk is split and streamed).
     Results do not depend on ``workers``.
     ``confirm_trials`` is the trial count of a final re-evaluation of the
-    winner under a separate seed, or None to skip it.
+    winner under a separate seed, or None to skip it.  ``master_seed`` is an
+    integer in [0, 2^63), the range that the Philox key of the search's own
+    draws holds exactly.
     """
 
     pop_size: int
@@ -86,6 +88,10 @@ class DeConfig:
             raise ValueError("seed_policy must be 'per-generation' or 'fixed'")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if (not isinstance(self.master_seed, (int, np.integer))
+                or not 0 <= self.master_seed < 2 ** 63):
+            raise ValueError(f"master_seed must be an integer in [0, 2^63), "
+                             f"got {self.master_seed!r}")
         if self.confirm_trials is not None and self.confirm_trials < 1:
             raise ValueError(f"confirm_trials must be None or >= 1, "
                              f"got {self.confirm_trials}")

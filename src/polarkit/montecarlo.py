@@ -42,7 +42,7 @@ import numpy as np
 from .construction import (bec_bhattacharyya, ga_llr_means, noise_variance,
                            select_information_set)
 from .core import CodeSpec, polar_transform, slabs
-from .decoders import CRC16_LEN, SCDecoder, SCLDecoder, crc16_remainder_bits
+from .decoders import DecoderConfig, crc16_remainder_bits
 from .puncturing import PuncturingPattern
 
 HARD_LLR = 1e4
@@ -102,39 +102,6 @@ class ChannelModel:
     @classmethod
     def bec(cls, epsilon: float) -> "ChannelModel":
         return cls(kind="bec", epsilon=float(epsilon))
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    """The decoder a simulation runs: a list decoder keeping ``list_size``
-    paths, whose last ``crc_len`` information bits (0 or 16) carry a CRC.
-
-    The default, one path and no CRC, is SC.  A list decoder with one path
-    makes SC's decisions (Tal & Vardy), and a CRC has no other path to
-    choose, so ``build`` runs SC's faster walk whenever ``list_size`` is 1,
-    with the same output.
-    """
-
-    list_size: int = 1
-    crc_len: int = 0
-
-    def __post_init__(self):
-        if self.list_size < 1:
-            raise ValueError(f"list_size must be >= 1, got {self.list_size}")
-        if self.crc_len not in (0, CRC16_LEN):
-            raise ValueError(f"crc_len must be 0 or {CRC16_LEN}, got {self.crc_len}")
-
-    def build(self, spec: CodeSpec, info_set) -> SCDecoder:
-        """The decoder for ``info_set``: ``SCDecoder`` for one path,
-        ``SCLDecoder`` otherwise.  The decoder validates the information set;
-        one too small to carry the CRC is rejected here."""
-        if self.list_size == 1:
-            dec = SCDecoder(spec, info_set)
-        else:
-            dec = SCLDecoder(spec, info_set, self.list_size, self.crc_len)
-        if self.crc_len >= dec.info_idx.size:
-            raise ValueError("information set too small to carry the CRC")
-        return dec
 
 
 @dataclass(eq=False)
@@ -336,10 +303,13 @@ class SimulationRun:
              trials: int = 10000, seed: int = 0,
              effective_rate: float | None = None) -> "SimulationRun":
         """Validate ``simulate``'s arguments (``workers`` aside), the AWGN
-        noise variance included.  The information set is checked by building
-        the run's decoder once (``DecoderConfig.build``)."""
+        noise variance included.  ``seed`` must be an integer in [0, 2^64),
+        the range of derived seeds (``derive_seed``).  The information set is
+        checked by building the run's decoder once (``DecoderConfig.build``)."""
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         if pattern.n_mother != spec.n_mother:
             raise ValueError(f"pattern is for N={pattern.n_mother}, "
                              f"code has N={spec.n_mother}")
@@ -467,16 +437,16 @@ def simulate(spec: CodeSpec, pattern: PuncturingPattern, info_set, model: Channe
     report is bit-for-bit reproducible, independent of ``workers``.
 
     Trials run in fixed chunks of ``CHUNK_TRIALS``, so the report depends
-    only on the arguments and ``seed``.  With ``workers`` > 1 and more than
-    one chunk, the call opens its own pool of that many processes and closes
-    it before returning; otherwise the chunks run in this process.
+    only on the arguments and ``seed``.  The chunks run on
+    ``WorkerPool(min(workers, chunks))``, which rejects ``workers`` < 1: a
+    run of several chunks with ``workers`` > 1 opens its own pool of one
+    process per chunk, at most ``workers``, and closes it before returning;
+    any other runs in this process.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     run = SimulationRun.plan(spec, pattern, info_set, model, decoder=decoder,
                              trials=trials, seed=seed,
                              effective_rate=effective_rate)
-    with WorkerPool(workers if trials > CHUNK_TRIALS else 1) as pool:
+    with WorkerPool(min(workers, len(run.jobs()))) as pool:
         return run_batch([run], pool)[0]
 
 

@@ -144,6 +144,19 @@ def test_optimize_rejects_bad_counts_before_searching(tmp_path, capsys, flag, va
     assert not (tmp_path / "opt.json.log").exists()
 
 
+@pytest.mark.parametrize("seed", [str(2 ** 63), str(2 ** 64)])
+def test_optimize_rejects_a_seed_the_search_cannot_key(tmp_path, capsys, seed):
+    # From 2^63 the search's Philox key cannot hold the seed exactly, so it
+    # is a domain error: exit 3, one line, no file.
+    out = tmp_path / "o.json"
+    rc = main(["optimize", "--n", "16", "--k", "8", "--np", "2", "--ebn0", "3",
+               "--seed", seed, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: master_seed must be an integer in [0, 2^63), got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("f", ["nan", "inf"])
 def test_optimize_rejects_non_finite_mutation_factor(tmp_path, capsys, f):
     out = tmp_path / "opt.json"

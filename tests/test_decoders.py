@@ -488,20 +488,16 @@ def _first_leaf_rule(pm, llr, list_size):
 def _information_leaf(pm, llr):
     """One information leaf of ``SCLDecoder`` from (B, L) path metrics and
     (B, L') LLRs, with the list state set up as ``_decode_tree`` does.
-    Returns what ``_first_leaf_rule`` does, after checking that the path map
-    and the trail agree with the returned bits and sources."""
+    Returns what ``_first_leaf_rule`` does: the bits are the leaf's (1, B, L)
+    partial sums and the sources its flat path map less each frame's b * L."""
     batch, list_size = pm.shape
     dec = SCLDecoder(CodeSpec(2, 1), (2,), list_size)
     dec._pm = pm.copy()
     dec._rows = np.arange(0, batch * list_size, list_size)[:, None]
     dec._cand = np.empty((batch, 2 * list_size))
-    dec._trail = []
     partial, paths = dec._leaf(llr, 1)
-    (bits, src), = dec._trail
-    assert bits.dtype == np.int8 and src.itemsize == 1
-    assert np.array_equal(partial, bits[None])
-    assert np.array_equal(paths, dec._rows + src)
-    return dec._pm, bits, src, dec._cand
+    assert partial.dtype == np.int8 and partial.shape == (1, batch, list_size)
+    return dec._pm, partial[0], paths - dec._rows, dec._cand
 
 
 def test_scl_leaf_rule_matches_the_first_formula():

@@ -84,6 +84,18 @@ def test_search_rejects_design_ebn0_before_opening_a_pool(pools_made, ebn0_db):
     assert pools_made == []
 
 
+# a Philox key list holds a master seed exactly only below 2^63
+@pytest.mark.parametrize("master_seed", [-1, 2 ** 63, 2 ** 64, 1.5, 3.0, "3", None])
+def test_search_rejects_master_seed_outside_the_key_before_opening_a_pool(pools_made,
+                                                                          master_seed):
+    with pytest.raises(ValueError,
+                       match=r"^master_seed must be an integer in \[0, 2\^63\), got "):
+        de_optimize(SPEC8, 2, small_config(workers=2, master_seed=master_seed))
+    assert pools_made == []
+    for edge in (0, 2 ** 63 - 1, np.int64(2 ** 63 - 1), np.uint64(7)):
+        assert small_config(master_seed=edge).master_seed == edge
+
+
 def _constant_rows(values, dim=6):
     return np.array([[v] * dim for v in values], dtype=float)
 

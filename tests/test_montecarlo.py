@@ -142,6 +142,36 @@ def test_simulate_rejects_non_positive_workers(workers):
                  ChannelModel.awgn(2.0), trials=100, workers=workers)
 
 
+def test_simulate_opens_one_process_per_chunk_at_most(pools_made):
+    # WorkerPool(min(workers, chunks)): one chunk runs in this process at any
+    # workers, three chunks open three processes at workers=4, and the
+    # reports equal those at workers=1.
+    spec = CodeSpec(16, 8)
+    args = (spec, qup_pattern(spec, 4), (8, 10, 11, 12, 13, 14, 15, 16),
+            ChannelModel.awgn(2.0))
+    for trials, workers, pools in [(CHUNK_TRIALS, 2, []), (2 * CHUNK_TRIALS + 7, 4, [3])]:
+        pools_made.clear()
+        got = simulate(*args, trials=trials, seed=31, workers=workers)
+        assert pools_made == pools
+        assert _fields(got) == _fields(simulate(*args, trials=trials, seed=31))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 2.0, "7", None])
+def test_plan_rejects_a_seed_outside_the_derived_range(pools_made, seed):
+    # Derived seeds span [0, 2^64).  A float seed would draw the stream of
+    # its integer part yet be reported as itself.
+    spec = CodeSpec(16, 8)
+    args = (spec, qup_pattern(spec, 4), (8, 10, 11, 12, 13, 14, 15, 16),
+            ChannelModel.awgn(2.0))
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\^64\), got "):
+        SimulationRun.plan(*args, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be"):
+        simulate(*args, trials=3 * CHUNK_TRIALS, seed=seed, workers=2)
+    assert pools_made == []
+    for edge in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(5)):
+        assert SimulationRun.plan(*args, seed=edge).seed == edge
+
+
 def test_simulate_report_invariants():
     spec = CodeSpec(16, 8)
     pattern = qup_pattern(spec, 4)
