@@ -51,8 +51,9 @@ class DeConfig:
     generation, or one row with ``in_place``) sends the Monte Carlo chunks of
     all its candidates to the pool together; the information sets are
     selected in this process.  The candidates share the generation's seed,
-    so ``run_batch`` draws each chunk's payload and channel once per task
-    (see ``montecarlo.run_batch`` for how a chunk is split and streamed).
+    and ``run_batch`` deals them to the workers in equal contiguous shares,
+    each of which draws each chunk's payload and channel once (see
+    ``montecarlo.run_batch`` for the shares and how a chunk is streamed).
     Results do not depend on ``workers``.
     ``confirm_trials`` is the trial count of a final re-evaluation of the
     winner under a separate seed, or None to skip it.  ``master_seed`` is an

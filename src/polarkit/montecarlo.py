@@ -23,16 +23,19 @@ decode.
 
 Runs that agree on a chunk's draw key (``SimulationRun.draw_key``, with the
 chunk's index and size) draw the same payload and channel for it, as a
-search's candidates under one evaluation seed do.  ``run_batch`` hands such
-runs to one task, which makes each draw once and then encodes, forms LLRs,
-decodes and compares for each run in turn, block by block; every LLR comes
-from the same ops in the same order as in a task of its own, so reports do
-not change.
+search's candidates under one evaluation seed do.  ``run_batch`` deals a
+batch to its pool's workers in equal contiguous shares of trials, splitting
+at most one group per cut, and a share hands the runs of each group it
+holds to one chunk job, which makes each draw once and then encodes, forms
+LLRs, decodes and compares for each run in turn, block by block; every LLR
+comes from the same ops in the same order as in a job of its own, so
+reports do not change.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass, field
@@ -177,19 +180,26 @@ def _draw_dtype(model, effective_rate):
 def _llrs(x, model, pattern, effective_rate, draw, perm, in_place=True):
     """Channel LLRs of the (N, B) codeword bits ``x`` in ``_channel_draw``'s
     layout, from its ``draw``.  The arithmetic runs slab by slab
-    (``core.slabs``) in the formula's order, so it is bit-identical to it;
-    AWGN LLRs are formed in ``draw`` itself unless ``in_place`` is False."""
+    (``core.slabs``), and each step is exact or rounds what the formula
+    rounds, so it is bit-identical to it.  AWGN LLRs are formed in ``draw``
+    itself, with one slab of signs beside it, unless ``in_place`` is False;
+    then the signs are written into the new LLR array."""
     sigma2 = (noise_variance(model.ebn0_db, effective_rate)
               if model.kind == "awgn_bpsk" else 0.0)
     llr = draw if sigma2 and in_place else np.empty(x.shape)
     for rows in slabs(x.shape):
         out = llr[rows]
-        signs = 1.0 - np.multiply(x[rows], 2.0, dtype=np.float64)
-        if sigma2:  # noise + signs is signs + noise: addition commutes
+        if sigma2:
+            # The formula's bits: the signs -2x + 1 are exactly 1 - 2x, noise
+            # + signs is signs + noise, and y / (sigma2 / 2) is 2y / sigma2
+            # because 2y and sigma2 / 2 (sigma2 >= 2 / MAX_LLR_SCALE) are exact.
+            signs = np.multiply(x[rows], -2.0, out=None if in_place else out,
+                                dtype=np.float64)
+            signs += 1.0
             np.add(draw[rows], signs, out=out)
-            out *= 2.0
-            out /= sigma2
+            out /= sigma2 / 2
         else:
+            signs = 1.0 - np.multiply(x[rows], 2.0, dtype=np.float64)
             np.multiply(signs, HARD_LLR, out=out)
             if model.kind == "bec":
                 out[draw[rows]] = 0.0
@@ -197,10 +207,10 @@ def _llrs(x, model, pattern, effective_rate, draw, perm, in_place=True):
     return llr
 
 
-def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
+def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
     """Per-information-bit and block errors of one chunk for each run of the
-    task ``(runs, chunk index, chunk trials)``, whose runs share one draw key
-    (``SimulationRun.draw_key``).
+    chunk job ``(runs, chunk index, chunk trials)``, whose runs share one draw
+    key (``SimulationRun.draw_key``).
 
     The chunk draws its payload (and CRC) once, as (K, B) words sent, then
     streams its frames in blocks of at most ``BLOCK_ELEMS`` tree elements:
@@ -222,7 +232,7 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
     ``_channel_draw``, and it is joined, and its errors re-raised here,
     before the chunk returns.
     """
-    runs, chunk_index, chunk_trials = task
+    runs, chunk_index, chunk_trials = job
     decs = [run.decoder.build(run.spec, run.info_idx + 1) for run in runs]
     first, perm = runs[0], decs[0]._perm
     n = first.spec.n_mother
@@ -275,6 +285,12 @@ def _simulate_chunk(task) -> list[tuple[np.ndarray, int]]:
     return list(zip(errors, blocks_wrong))
 
 
+def _simulate_share(jobs: list[tuple]) -> list[list[tuple[np.ndarray, int]]]:
+    """``_simulate_chunk`` of each chunk job of one ``run_batch`` share, in
+    order."""
+    return [_simulate_chunk(job) for job in jobs]
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationRun:
     """One validated Monte Carlo run: the chunk jobs it splits into and the
@@ -322,7 +338,7 @@ class SimulationRun:
                    trials, seed)
 
     def jobs(self) -> list[tuple]:
-        """``_simulate_chunk``'s one-run task ((run,), chunk index, chunk
+        """``_simulate_chunk``'s one-run job ((run,), chunk index, chunk
         trials) for each chunk of ``CHUNK_TRIALS``, in chunk order."""
         sizes = [CHUNK_TRIALS] * (self.trials // CHUNK_TRIALS)
         if self.trials % CHUNK_TRIALS:
@@ -391,36 +407,47 @@ def run_batch(runs: list[SimulationRun],
     The chunks of all runs are grouped by draw key
     (``SimulationRun.draw_key``, chunk index and chunk trials), so the runs of
     a group share their draws, as a search's candidates under one evaluation
-    seed do.  Each group is split into ``pool.workers`` tasks, or one per run
-    if it has fewer runs, its runs dealt out in turn; each task makes the
-    group's draws once for all its runs.  All tasks go to ``pool`` in one map,
-    one task at a time, so the workers stay busy across group boundaries; on a
-    one-worker pool, the default, each group is one task, run in this process.
-    A task streams its chunk in blocks of at most ``BLOCK_ELEMS`` tree
+    seed do.  The batch is dealt to the pool in ``pool.workers`` shares by
+    McNaughton's wrap-around rule: the (group, run) items are laid end to
+    end, each as long as its chunk's trials, the line is cut into
+    ``pool.workers`` equal lengths, and each item goes to the share that
+    holds its midpoint.  A share is one task: its part of each group it
+    touches is one chunk job ((runs), chunk index, chunk trials), and it
+    runs its jobs in order (``_simulate_share``), so each share makes a
+    chunk's draws once for all its runs.  At most ``pool.workers`` - 1
+    groups are split between shares, and each cut lies within half a chunk
+    of an equal split.  On a one-worker pool, the default, the batch is one
+    share, run in this process.
+    A job streams its chunk in blocks of at most ``BLOCK_ELEMS`` tree
     elements (``_simulate_chunk``; 1024 frames at N=1024, the whole chunk at
     N <= 128), so its LLRs and tree arrays are sized by one block, not by the
-    chunk; a task of several runs holds one extra float array of one block
+    chunk; a job of several runs holds one extra float array of one block
     while it decodes, and a run alone in its group, such as every ``evaluate``
-    point, holds none.  ``pool.workers`` counts processes: a task of several
+    point, holds none.  ``pool.workers`` counts processes: a job of several
     blocks also makes its channel draws in one helper thread while it decodes,
-    so even a task run in-process can keep two cores busy.  Each run's LLRs
-    come from the same draws and ops whatever task holds it and however its
+    so even a share run in-process can keep two cores busy.  Each run's LLRs
+    come from the same draws and ops whatever job holds it and however its
     chunk is blocked, so the reports do not depend on the pool.
     """
     groups: dict[tuple, list[int]] = {}
     for r, run in enumerate(runs):
         for _, ci, sz in run.jobs():
             groups.setdefault((run.draw_key(), ci, sz), []).append(r)
-    members, tasks = [], []
+    total = sum(sz * len(rows) for (_, _, sz), rows in groups.items())
+    jobs, line = [], 0  # (share, rows, chunk index, chunk trials), in line order
     for (_, ci, sz), rows in groups.items():
-        parts = min(pool.workers, len(rows))
-        for part in (rows[i::parts] for i in range(parts)):
-            members.append(part)
-            tasks.append((tuple(runs[r] for r in part), ci, sz))
-    results = pool.map(_simulate_chunk, tasks)
+        for i, r in enumerate(rows):
+            share = (2 * line + sz) * pool.workers // (2 * total)  # holds the midpoint
+            line += sz
+            if i == 0 or share != jobs[-1][0]:
+                jobs.append((share, [], ci, sz))
+            jobs[-1][1].append(r)
+    tasks = [[(tuple(runs[r] for r in rows), ci, sz) for _, rows, ci, sz in part]
+             for _, part in itertools.groupby(jobs, key=lambda job: job[0])]
+    results = [chunk for share in pool.map(_simulate_share, tasks) for chunk in share]
     chunks: list[list] = [[] for _ in runs]
-    for part, result in zip(members, results):
-        for r, chunk in zip(part, result):
+    for (_, rows, _, _), result in zip(jobs, results):
+        for r, chunk in zip(rows, result):
             chunks[r].append(chunk)
     return [run.tally(run_chunks) for run, run_chunks in zip(runs, chunks)]
 

@@ -14,6 +14,7 @@ from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig, DeConfig
                       PuncturingPattern, SCDecoder, SCLDecoder, bit_reversal_permutation,
                       channel_llrs, core, de_optimize, generator_matrix, montecarlo,
                       noise_variance, objective, qup_pattern, simulate)
+from polarkit.construction import MAX_LLR_SCALE
 from polarkit.decoders import crc16_remainder_bits
 from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, WorkerPool, _simulate_chunk,
                                  run_batch)
@@ -453,12 +454,13 @@ def _fields(report):
 
 _SCL4 = DecoderConfig(list_size=4, crc_len=16)
 # (n_p, model, [(pattern, decoder, trials)]), pattern 0 the QUP one: runs of
-# three chunks (the last short) and of one short chunk, two n_p, three
-# channels and SC next to CRC-aided SCL
+# three and two chunks (the last short) and of one short chunk, two n_p,
+# three channels and SC next to CRC-aided SCL
 _BATCH = [(4, ChannelModel.awgn(1.0), [(0, _SC, 20000), (1, _SC, 20000), (2, _SC, 5000)]),
           (8, ChannelModel.awgn(1.0), [(0, _SC, 20000), (1, _SCL4, 5000), (2, _SCL4, 5000)]),
           (4, ChannelModel.awgn(math.inf), [(0, _SC, 5000), (1, _SC, 5000)]),
-          (8, ChannelModel.bec(0.3), [(0, _SC, 5000), (1, _SC, 5000), (0, _SCL4, 5000)])]
+          (8, ChannelModel.bec(0.3), [(0, _SC, 5000), (1, _SC, 5000), (0, _SCL4, 5000)]),
+          (8, ChannelModel.awgn(2.0), [(0, _SC, 10000), (1, _SC, 10000), (2, _SCL4, 10000)])]
 
 
 def test_batch_matches_runs_alone_with_and_without_pool(pools_made):
@@ -476,15 +478,66 @@ def test_batch_matches_runs_alone_with_and_without_pool(pools_made):
                                         decoder, trials=trials, seed=seed)
                      for p, decoder, trials in members]
     chunks = [(run.draw_key(), ci, sz) for run in runs for _, ci, sz in run.jobs()]
-    assert len(set(chunks)) == 22 and len(chunks) == 34
+    assert len(set(chunks)) == 30 and len(chunks) == 46
     alone = [_fields(run_batch([run])[0]) for run in runs]
     assert [_fields(r) for r in run_batch(runs)] == alone
     with WorkerPool(1) as pool:
         assert [_fields(r) for r in run_batch(runs, pool)] == alone
     assert pools_made == []
+    for workers in (2, 3):
+        with WorkerPool(workers) as pool:
+            assert [_fields(r) for r in run_batch(runs, pool)] == alone
+    assert pools_made == [2, 3]
+
+
+@pytest.fixture
+def shares_sent(monkeypatch):
+    """The chunk jobs of each share that ``WorkerPool.map`` receives, as
+    (draw key, chunk index, chunk trials, runs)."""
+    shares = []
+    real_map = montecarlo.WorkerPool.map
+
+    def recording_map(self, fn, tasks):
+        shares.extend([(runs[0].draw_key(), ci, sz, len(runs)) for runs, ci, sz in share]
+                      for share in tasks)
+        return real_map(self, fn, tasks)
+
+    monkeypatch.setattr(montecarlo.WorkerPool, "map", recording_map)
+    return shares
+
+
+@pytest.mark.parametrize("trials, chunks", [(2 * CHUNK_TRIALS, (8192, 8192)),
+                                            (10000, (8192, 1808)),
+                                            (20000, (8192, 8192, 3616))],
+                         ids=["16384", "10000", "20000"])
+@pytest.mark.parametrize("members", [2, 5], ids=["2runs", "5runs"])
+def test_batch_is_dealt_in_equal_contiguous_shares(shares_sent, trials, chunks, members):
+    # A generation's runs share a seed, so each chunk index is one group.
+    # Two workers get one share each: each share holds each group it touches
+    # once, as one job, at most one group is split, and each share's trials
+    # lie within half a chunk of half the batch.
+    spec = CodeSpec(16, 8)
+    rng = np.random.default_rng(members)
+    runs = [SimulationRun.plan(spec, _random_pattern(spec, 4, rng), _random_info(spec, rng),
+                               ChannelModel.awgn(2.0), trials=trials, seed=3)
+            for _ in range(members)]
+    assert tuple(sz for _, _, sz in runs[0].jobs()) == chunks
+    alone = [_fields(run_batch([run])[0]) for run in runs]
+    shares_sent.clear()
     with WorkerPool(2) as pool:
         assert [_fields(r) for r in run_batch(runs, pool)] == alone
-    assert pools_made == [2]
+
+    assert len(shares_sent) == 2
+    groups = [[(key, ci, sz) for key, ci, sz, _ in share] for share in shares_sent]
+    assert all(len(set(share)) == len(share) for share in groups)
+    assert sum(g in groups[1] for g in groups[0]) <= 1
+    dealt = [sum(sz * n for _, _, sz, n in share) for share in shares_sent]
+    assert sum(dealt) == members * trials
+    assert all(abs(d - members * trials / 2) <= max(chunks) / 2 for d in dealt)
+    if chunks == (8192, 8192):
+        # one chunk draw per share, not one per share and chunk
+        key = runs[0].draw_key()
+        assert shares_sent == [[(key, 0, 8192, members)], [(key, 1, 8192, members)]]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -655,21 +708,21 @@ def test_pipelined_chunk_calls_every_traced_name_on_the_calling_thread(monkeypat
 
 
 def test_one_chunk_generation_sends_a_task_to_every_process(monkeypatch):
-    # Each generation's candidates share one chunk; split across the two
-    # processes, its runs dealt out in turn, so neither process idles.
+    # Each generation's candidates share one chunk; it is split between the
+    # two processes' shares at the midpoint of the batch, so neither idles.
     sent = []
     real_map = montecarlo.WorkerPool.map
 
     def recording_map(self, fn, tasks):
-        sent.append([(len(runs), ci, sz) for runs, ci, sz in tasks])
+        sent.append([[(len(runs), ci, sz) for runs, ci, sz in share] for share in tasks])
         return real_map(self, fn, tasks)
 
     monkeypatch.setattr(montecarlo.WorkerPool, "map", recording_map)
     config = DeConfig(pop_size=6, max_iters=2, stall_generations=5, ebn0_db=3.0,
                       trials=800, confirm_trials=None, workers=2)
     result = de_optimize(CodeSpec(16, 8), 4, config)
-    assert sent == [[(3, 0, 800), (3, 0, 800)], [(3, 0, 800), (3, 0, 800)],
-                    [(3, 0, 800), (2, 0, 800)]]
+    assert sent == [[[(3, 0, 800)], [(3, 0, 800)]], [[(3, 0, 800)], [(3, 0, 800)]],
+                    [[(2, 0, 800)], [(3, 0, 800)]]]
     assert result.evaluations == 17
     serial = de_optimize(CodeSpec(16, 8), 4, dataclasses.replace(config, workers=1))
     assert (serial.history, serial.pattern) == (result.history, result.pattern)
@@ -707,14 +760,21 @@ def test_channel_llrs_keep_natural_order_and_zero_punctured(model):
 
 
 @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "copy"])
-@pytest.mark.parametrize("model", [ChannelModel.awgn(2.0), ChannelModel.awgn(math.inf),
+@pytest.mark.parametrize("model", [ChannelModel.awgn(2.0), ChannelModel.awgn(2996.19788),
+                                   ChannelModel.awgn(-70.0), ChannelModel.awgn(math.inf),
                                    ChannelModel.bec(0.4)],
-                         ids=["awgn", "noiseless", "bec"])
+                         ids=["awgn", "awgn-top-scale", "awgn-low", "noiseless", "bec"])
 @pytest.mark.parametrize("n, frames", [(64, 1300), (1024, 100)])
 def test_blocked_draw_and_llrs_match_the_formula(n, frames, model, in_place):
     # The draw spans several blocks of SLAB_ELEMS // n frames, not a multiple
     # of one; the LLRs equal the natural-order formula over one (B, N) draw.
+    # The AWGN points span the noise range: 2 / sigma^2 just under
+    # MAX_LLR_SCALE, a moderate sigma^2 and one of 1e6 or more.
     spec, rate = CodeSpec(n, n // 2), 0.6
+    if model.ebn0_db == 2996.19788:
+        assert MAX_LLR_SCALE * 0.9999 < 2.0 / noise_variance(model.ebn0_db, rate) <= MAX_LLR_SCALE
+    elif model.ebn0_db == -70.0:
+        assert noise_variance(model.ebn0_db, rate) >= 1e6
     pattern = qup_pattern(spec, n // 4)
     perm = bit_reversal_permutation(spec.m)
     bits = np.random.default_rng(n).integers(0, 2, size=(frames, n), dtype=np.int8)
