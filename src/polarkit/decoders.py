@@ -197,8 +197,11 @@ class SCDecoder:
         self._info_count = np.concatenate([[0], np.cumsum(self.info_mask)])
         self._perm = bit_reversal_permutation(spec.m)
 
-    def _rate0(self, base: int, width: int) -> bool:
+    def _frozen(self, base: int, width: int) -> bool:
         return self._info_count[base + width] == self._info_count[base]
+
+    def _rate0(self, base: int, width: int) -> bool:
+        return self._frozen(base, width)
 
     def _rate1(self, base: int, width: int) -> bool:
         return (width <= 1 << len(RATE1_THRESHOLDS)
@@ -275,8 +278,13 @@ class SCDecoder:
         if self._rate0(base + half, half):
             return np.concatenate([c_left, np.zeros_like(c_left)]), left
         llr = _follow(llr, left)
-        c_right, right = self._recurse(g_node(llr[:half], llr[half:], c_left),
-                                       base + half, both)
+        if self._frozen(base, half):
+            # SCL walked the rate-0 left child: its partial sums are 0 and
+            # ``left`` is None, so again g = a + b.
+            c_right, right = self._recurse(llr[:half] + llr[half:], base + half, both)
+        else:
+            c_right, right = self._recurse(g_node(llr[:half], llr[half:], c_left),
+                                           base + half, both)
         paths = left
         if right is not None:
             c_left = _follow(c_left, right)
@@ -307,7 +315,9 @@ class SCLDecoder(SCDecoder):
     ``SCDecoder`` and differs in its leaf rule and in visiting every leaf:
     frozen leaves charge path metrics, so skipping rate-0 subtrees is not
     exact, and an information leaf keeps both decisions, so a rate-1 subtree
-    has no one hard decision.  Tree arrays are (width, B, L'), where L' = 1
+    has no one hard decision.  A walked rate-0 subtree still prunes nothing
+    and returns zeros, so after a rate-0 left child the right child's LLRs
+    are a + b, as in SC.  Tree arrays are (width, B, L'), where L' = 1
     while every path still shares the array, so the channel LLRs and all the
     work before the first information leaf are held and computed once per
     frame.

@@ -8,8 +8,10 @@ The draw order is the contract: a chunk of B frames draws its (B, K - crc)
 random payload bits, then its (B, N) channel draw (AWGN noise or BEC
 uniforms), the latter in consecutive blocks of frames that continue one
 stream.  A chunk then works in the decoders' (N, B) tree layout, whose
-row i is codeword bit perm[i] (perm the bit-reversal), one block of at
-most ``BLOCK_ELEMS`` elements (N x frames) at a time: it encodes the
+row i is codeword bit perm[i] (perm the bit-reversal), one block of
+frames at a time, whose tree arrays hold at most ``BLOCK_ELEMS`` elements
+(N x L x frames, L the largest list size of the chunk's runs) unless a
+list size would cut it below ``MIN_BLOCK_FRAMES`` frames: it encodes the
 block's words there without a permutation, gathers the block's channel
 draw into it, forms the LLRs there on cache-sized row slabs
 (``core.slabs``), and decodes to (K, frames) information bits there, so
@@ -50,10 +52,17 @@ from .puncturing import PuncturingPattern
 
 HARD_LLR = 1e4
 CHUNK_TRIALS = 8192
-# Tree elements (N x frames) in one block of a chunk (see ``_simulate_chunk``):
-# 8 MB of float64 LLRs, 1024 frames at N=1024.  A chunk at N <= 128 is one
-# block.
+# Tree elements (N x L x frames, L the largest list size of the chunk's runs)
+# in one block of a chunk (see ``_simulate_chunk``): 8 MB of float64 LLRs,
+# 1024 frames for SC at N=1024 and for L=8 at N=128.  An SC chunk at
+# N <= 128 is one block.
 BLOCK_ELEMS = 2 ** 20
+# The fewest frames a list size cuts a block to; SC keeps BLOCK_ELEMS // N
+# frames.  SCL makes a fixed number of numpy calls per leaf and block, so
+# small blocks spread that overhead over few frames: a 1024-frame N=1024,
+# L=8 chunk ran at 0.81 of its one-block speed in blocks of 128 frames, 0.95
+# in blocks of 256 and 1.03 in blocks of 512 (BENCH_27.json's sweep).
+MIN_BLOCK_FRAMES = 512
 # Tags of the seed streams (see ``derive_seed``): a search's evaluations per
 # generation, its final confirmation run, and a sweep's increments per point.
 SEED_STREAMS = {"evaluation": 1, "confirmation": 2, "sweep": 3}
@@ -213,14 +222,17 @@ def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
     key (``SimulationRun.draw_key``).
 
     The chunk draws its payload (and CRC) once, as (K, B) words sent, then
-    streams its frames in blocks of at most ``BLOCK_ELEMS`` tree elements:
-    each block makes its ``_channel_draw``, continuing the chunk's one
-    stream, and each run then encodes the block's words, forms its LLRs,
-    decodes and counts its errors in the tree layout (see the module
-    docstring).  Frames decode independently, so the counts do not depend
-    on the block size.  The last run forms its LLRs in place in the block's
-    channel draw; each earlier run holds one more float array of one block
-    while it decodes.
+    streams its frames in blocks of BLOCK_ELEMS // (N x L) frames, L the
+    largest list size of its runs (a group can mix list sizes, as its draw
+    key holds none), so that every path's tree arrays fit the budget; a list
+    size cuts a block to no fewer than ``MIN_BLOCK_FRAMES`` frames, and SC
+    keeps BLOCK_ELEMS // N.  Each block makes its ``_channel_draw``,
+    continuing the chunk's one stream, and each run then encodes the block's
+    words, forms its LLRs, decodes and counts its errors in the tree layout
+    (see the module docstring).  Frames decode independently, so the counts
+    do not depend on the block size.  The last run forms its LLRs in place
+    in the block's channel draw; each earlier run holds one more float array
+    of one block while it decodes.
 
     A chunk of several blocks whose channel draws something makes its
     channel draws in one helper thread, one block ahead of the decoding,
@@ -239,7 +251,9 @@ def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
     rng = np.random.Generator(np.random.Philox(key=[first.seed, chunk_index]))
     word = rng.integers(0, 2, size=(chunk_trials, first.info_idx.size - first.decoder.crc_len),
                         dtype=np.int8)
-    blocks = slabs((chunk_trials, n), BLOCK_ELEMS)
+    list_size = max(run.decoder.list_size for run in runs)
+    blocks = slabs((chunk_trials,), max(BLOCK_ELEMS // (n * list_size),
+                                        min(MIN_BLOCK_FRAMES, BLOCK_ELEMS // n)))
     dtype = _draw_dtype(first.model, first.effective_rate)
     helped = len(blocks) > 1 and dtype is not None
     with contextlib.ExitStack() as stack:
@@ -419,11 +433,12 @@ def run_batch(runs: list[SimulationRun],
     of an equal split.  On a one-worker pool, the default, the batch is one
     share, run in this process.
     A job streams its chunk in blocks of at most ``BLOCK_ELEMS`` tree
-    elements (``_simulate_chunk``; 1024 frames at N=1024, the whole chunk at
-    N <= 128), so its LLRs and tree arrays are sized by one block, not by the
-    chunk; a job of several runs holds one extra float array of one block
-    while it decodes, and a run alone in its group, such as every ``evaluate``
-    point, holds none.  ``pool.workers`` counts processes: a job of several
+    elements, every list path counted (``_simulate_chunk``; for SC 1024
+    frames at N=1024 and the whole chunk at N <= 128, for L=8 1024 frames at
+    N=128 and ``MIN_BLOCK_FRAMES`` at N=1024), so its LLRs and tree arrays
+    are sized by one block, not by the chunk; a job of several runs holds
+    one extra float array of one block while it decodes, and a run alone in
+    its group, such as every ``evaluate`` point, holds none.  ``pool.workers`` counts processes: a job of several
     blocks also makes its channel draws in one helper thread while it decodes,
     so even a share run in-process can keep two cores busy.  Each run's LLRs
     come from the same draws and ops whatever job holds it and however its

@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 
 from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig, DeConfig,
                       PuncturingPattern, SCDecoder, SCLDecoder, bit_reversal_permutation,
-                      channel_llrs, core, de_optimize, generator_matrix, montecarlo,
-                      noise_variance, objective, qup_pattern, simulate)
+                      channel_llrs, core, de_optimize, generator_matrix, load_pattern,
+                      montecarlo, noise_variance, objective, qup_pattern,
+                      reference_pattern_path, simulate)
 from polarkit.construction import MAX_LLR_SCALE
 from polarkit.decoders import crc16_remainder_bits
 from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, WorkerPool, _simulate_chunk,
@@ -351,6 +353,10 @@ _CHUNK_CASES = [
     (1024, 512, 224, "qup", ChannelModel.awgn(2.0), _SC, 250, 100),
     (1024, 512, 224, "qup", ChannelModel.bec(0.2), _SC, 250, 100),
     (1024, 512, 224, "random", ChannelModel.awgn(math.inf), _SC, 250, 100),
+    # CRC-aided SCL at L=8 in blocks of BLOCK_ELEMS // (N x L) = 1024 frames:
+    # each 1300-frame chunk decodes as 1024 + 276
+    (128, 64, 28, "random", ChannelModel.awgn(2.0),
+     DecoderConfig(list_size=8, crc_len=16), 2700, 1300),
 ]
 
 
@@ -664,6 +670,80 @@ def test_chunks_with_nothing_to_draw_ahead_start_no_thread(monkeypatch, threads_
         1 if block_frames is None else 6)
     _simulate_chunk(task)
     assert threads_started == []
+
+
+# ---------------------------------------------------------------------------
+# Block sizes: a block's tree arrays hold at most BLOCK_ELEMS elements counting
+# every list path, N x L x frames, L the largest list size of the chunk's
+# runs, and a list size cuts a block to no fewer than MIN_BLOCK_FRAMES frames.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def blocks_decoded(monkeypatch):
+    """(decoder class name, frames) of every block a chunk decodes."""
+    decoded = []
+    real_sc, real_scl = SCDecoder._decode_tree, SCLDecoder._decode_tree
+
+    def sc_decode(self, llr):
+        if llr.ndim == 2:  # not SCL's own (N, B, 1) call of SC's walk
+            decoded.append(("SCDecoder", llr.shape[1]))
+        return real_sc(self, llr)
+
+    def scl_decode(self, llr):
+        decoded.append(("SCLDecoder", llr.shape[1]))
+        return real_scl(self, llr)
+
+    monkeypatch.setattr(SCDecoder, "_decode_tree", sc_decode)
+    monkeypatch.setattr(SCLDecoder, "_decode_tree", scl_decode)
+    return decoded
+
+
+def _group_job(n, decoders, trials):
+    """A chunk job of one run per decoder, all under one draw key."""
+    spec = CodeSpec(n, n // 2)
+    pattern = qup_pattern(spec, n // 8)
+    runs = tuple(SimulationRun.plan(spec, pattern, tuple(range(n // 2 + 1, n + 1)),
+                                    ChannelModel.awgn(2.0), decoder, trials=trials, seed=6)
+                 for decoder in decoders)
+    assert len({run.draw_key() for run in runs}) == 1
+    return runs, 0, trials
+
+
+_SCL8 = DecoderConfig(list_size=8, crc_len=16)
+
+
+@pytest.mark.parametrize("n, decoders, trials, frames", [
+    (128, [_SCL8], 2500, [1024, 1024, 452]),
+    # one path with a CRC walks SC, in the blocks of the group's L=4 run
+    (128, [DecoderConfig(list_size=1, crc_len=16), DecoderConfig(list_size=4, crc_len=16)],
+     2500, [2048, 452]),
+    (128, [_SC], 2500, [2500]),
+    (1024, [_SC], 2500, [1024, 1024, 452]),
+    # BLOCK_ELEMS // (N x L) is 128 frames here; the floor raises it to 512
+    (1024, [_SCL8], 600, [512, 88]),
+], ids=["N128-L8", "N128-L1-L4", "N128-sc", "N1024-sc", "N1024-L8"])
+def test_blocks_count_every_list_path(blocks_decoded, n, decoders, trials, frames):
+    _simulate_chunk(_group_job(n, decoders, trials))
+    kinds = ["SCDecoder" if d.list_size == 1 else "SCLDecoder" for d in decoders]
+    assert blocks_decoded == [(kind, f) for f in frames for kind in kinds]
+
+
+def test_scl_chunk_holds_one_block_of_every_path(monkeypatch):
+    # In blocks of N x L x 512 elements, a 2048-frame N=128, L=8 chunk traces
+    # about 1.7 times 8 B x BLOCK_ELEMS at its peak; in blocks that count N x
+    # frames only, it is one block and traces about 5.7 times.
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 128 * 8 * 512)
+    pattern, info, _ = load_pattern(reference_pattern_path("de_n128_k64_np28.json"))
+    run = SimulationRun.plan(CodeSpec(128, 64), pattern, info, ChannelModel.awgn(2.0),
+                             _SCL8, trials=2048, seed=1)
+    tracemalloc.start()
+    try:
+        (_, blocks), = _simulate_chunk(run.jobs()[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks > 0
+    assert peak <= 3 * 8 * montecarlo.BLOCK_ELEMS
 
 
 def _load_tracer(monkeypatch):
