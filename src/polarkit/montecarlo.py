@@ -13,15 +13,15 @@ frames at a time, whose tree arrays hold at most ``BLOCK_ELEMS`` elements
 (N x L x frames, L the largest list size of the chunk's runs) unless a
 list size would cut it below ``MIN_BLOCK_FRAMES`` frames: it encodes the
 block's words there without a permutation, gathers the block's channel
-draw into it, forms the LLRs there on cache-sized row slabs
-(``core.slabs``), and decodes to (K, frames) information bits there, so
-nothing passes through natural order.  SC and SCL decide each frame on its
-own, so the errors do not depend on the block size, and a chunk holds its
-LLRs and tree arrays for one block, not for all B frames.  A chunk of
-several blocks whose channel draws something makes its channel draws one
-block ahead in one helper thread, in the same order, while it decodes the
-block before; the draw releases the interpreter lock, so it runs beside the
-decode.
+draw into it, forms the LLRs from the draw, which it only reads, on
+cache-sized row slabs (``core.slabs``), and decodes to (K, frames)
+information bits there, so nothing passes through natural order.  SC and
+SCL decide each frame on its own, so the errors do not depend on the block
+size, and a chunk holds its LLRs and tree arrays for one block, not for
+all B frames.  A chunk of several blocks whose channel draws something
+makes its channel draws one block ahead in one helper thread, in the same
+order, while it decodes the block before; the draw releases the
+interpreter lock, so it runs beside the decode.
 
 Runs that agree on a chunk's draw key (``SimulationRun.draw_key``, with the
 chunk's index and size) draw the same payload and channel for it, as a
@@ -186,32 +186,30 @@ def _draw_dtype(model, effective_rate):
     return np.dtype(np.float64) if noise_variance(model.ebn0_db, effective_rate) else None
 
 
-def _llrs(x, model, pattern, effective_rate, draw, perm, in_place=True):
+def _llrs(x, model, pattern, effective_rate, draw, perm, out=None):
     """Channel LLRs of the (N, B) codeword bits ``x`` in ``_channel_draw``'s
-    layout, from its ``draw``.  The arithmetic runs slab by slab
-    (``core.slabs``), and each step is exact or rounds what the formula
-    rounds, so it is bit-identical to it.  AWGN LLRs are formed in ``draw``
-    itself, with one slab of signs beside it, unless ``in_place`` is False;
-    then the signs are written into the new LLR array."""
+    layout, from its ``draw``, which is only read.  They are written into
+    ``out``, an (N, B) float64 array, if one is given, else into a new
+    array.  The arithmetic runs slab by slab (``core.slabs``), and each step
+    is exact or rounds what the formula rounds, so it is bit-identical to
+    it."""
     sigma2 = (noise_variance(model.ebn0_db, effective_rate)
               if model.kind == "awgn_bpsk" else 0.0)
-    llr = draw if sigma2 and in_place else np.empty(x.shape)
+    llr = np.empty(x.shape) if out is None else out
     for rows in slabs(x.shape):
-        out = llr[rows]
+        # The formula's bits: the signs -2x + 1 are exactly 1 - 2x, and with
+        # y = signs + noise, y / (sigma2 / 2) is 2y / sigma2 because 2y and
+        # sigma2 / 2 (sigma2 >= 2 / MAX_LLR_SCALE) are exact.
+        slab = llr[rows]
+        np.multiply(x[rows], -2.0, out=slab, dtype=np.float64)
+        slab += 1.0
         if sigma2:
-            # The formula's bits: the signs -2x + 1 are exactly 1 - 2x, noise
-            # + signs is signs + noise, and y / (sigma2 / 2) is 2y / sigma2
-            # because 2y and sigma2 / 2 (sigma2 >= 2 / MAX_LLR_SCALE) are exact.
-            signs = np.multiply(x[rows], -2.0, out=None if in_place else out,
-                                dtype=np.float64)
-            signs += 1.0
-            np.add(draw[rows], signs, out=out)
-            out /= sigma2 / 2
+            slab += draw[rows]
+            slab /= sigma2 / 2
         else:
-            signs = 1.0 - np.multiply(x[rows], 2.0, dtype=np.float64)
-            np.multiply(signs, HARD_LLR, out=out)
+            slab *= HARD_LLR
             if model.kind == "bec":
-                out[draw[rows]] = 0.0
+                slab[draw[rows]] = 0.0
     llr[perm[pattern.zero_based()]] = 0.0
     return llr
 
@@ -230,19 +228,20 @@ def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
     continuing the chunk's one stream, and each run then encodes the block's
     words, forms its LLRs, decodes and counts its errors in the tree layout
     (see the module docstring).  Frames decode independently, so the counts
-    do not depend on the block size.  The last run forms its LLRs in place
-    in the block's channel draw; each earlier run holds one more float array
-    of one block while it decodes.
+    do not depend on the block size.  Every run forms its LLRs in one float
+    array of one block that the chunk allocates here, from the block's
+    channel draw, which it only reads.
 
     A chunk of several blocks whose channel draws something makes its
     channel draws in one helper thread, one block ahead of the decoding,
-    into two buffers of one block that it allocates here: the helper draws
-    block 0 while this thread computes the CRC and the (K, B) transpose,
-    and block b + 1 while this thread decodes block b.  The helper alone
-    calls the generator after the payload draw, block by block in stream
-    order, so the draws are the ones of a chunk without it.  It runs only
-    ``_channel_draw``, and it is joined, and its errors re-raised here,
-    before the chunk returns.
+    into one buffer of one block that it allocates here.  Block b + 1's draw
+    is submitted once the last run has formed its LLRs from block b's draw,
+    so the helper makes it while this thread decodes that run and encodes
+    block b + 1 for the first run; block 0's draw runs beside the CRC and
+    block 0's first encode.  The helper alone calls the generator after the
+    payload draw, block by block in stream order, so the draws are the ones
+    of a chunk without it.  It runs only ``_channel_draw``, and it is
+    joined, and its errors re-raised here, before the chunk returns.
     """
     runs, chunk_index, chunk_trials = job
     decs = [run.decoder.build(run.spec, run.info_idx + 1) for run in runs]
@@ -256,14 +255,14 @@ def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
                                         min(MIN_BLOCK_FRAMES, BLOCK_ELEMS // n)))
     dtype = _draw_dtype(first.model, first.effective_rate)
     helped = len(blocks) > 1 and dtype is not None
+    llr_buffer = np.empty(n * (blocks[0].stop - blocks[0].start))  # the largest block's
     with contextlib.ExitStack() as stack:
         if helped:
             # Imported here: a chunk of one block, and importing polarkit,
             # do not load concurrent.futures and the logging it imports.
             from concurrent.futures import ThreadPoolExecutor
             helper = stack.enter_context(ThreadPoolExecutor(1))
-            buffers = [np.empty(n * (blocks[0].stop - blocks[0].start), dtype)
-                       for _ in range(2)]
+            draw_buffer = np.empty(llr_buffer.size, dtype)
 
         def draw(b):
             """Block b's channel draw, as a call that returns it once made."""
@@ -273,29 +272,29 @@ def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
                 made = _channel_draw(*args)
                 return lambda: made
             return helper.submit(_channel_draw, *args,
-                                 buffers[b % 2][:n * frames].reshape(n, frames)).result
+                                 draw_buffer[:n * frames].reshape(n, frames)).result
 
         pending = draw(0)
         if first.decoder.crc_len:
             word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
-        word = np.ascontiguousarray(word.T)
-        errors = [np.zeros(len(word), dtype=np.int64) for _ in runs]
+        errors = [np.zeros(word.shape[1], dtype=np.int64) for _ in runs]
         blocks_wrong = [0] * len(runs)
         for b, frames in enumerate(blocks):
-            block_draw = pending()
-            if b + 1 < len(blocks):
-                pending = draw(b + 1)  # into the buffer block b - 1 is done with
-            sent = word[:, frames]
+            sent = np.ascontiguousarray(word[frames].T)
+            llr = llr_buffer[:n * sent.shape[1]].reshape(n, -1)
             for i, (run, dec) in enumerate(zip(runs, decs)):
                 x = np.zeros((n, sent.shape[1]), dtype=np.int8)
                 x[run.info_idx] = sent
-                llr = _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
-                            block_draw, perm, in_place=i == len(runs) - 1)
+                # The first run encodes while block b's draw may still run.
+                _llrs(polar_transform(x), run.model, run.pattern, run.effective_rate,
+                      pending(), perm, llr)
                 del x  # the codeword bits are not held while the tree arrays grow
+                if i == len(runs) - 1 and b + 1 < len(blocks):
+                    pending = draw(b + 1)  # every run has read block b's draw
                 diff = dec._decode_tree(llr)[0] != sent
                 errors[i] += diff.sum(axis=1, dtype=np.int64)
                 blocks_wrong[i] += int(diff.any(axis=0).sum())
-            del block_draw, llr, diff  # a block's arrays are not held into the next
+            del sent, diff  # a block's arrays are not held into the next
     return list(zip(errors, blocks_wrong))
 
 
@@ -436,11 +435,11 @@ def run_batch(runs: list[SimulationRun],
     elements, every list path counted (``_simulate_chunk``; for SC 1024
     frames at N=1024 and the whole chunk at N <= 128, for L=8 1024 frames at
     N=128 and ``MIN_BLOCK_FRAMES`` at N=1024), so its LLRs and tree arrays
-    are sized by one block, not by the chunk; a job of several runs holds
-    one extra float array of one block while it decodes, and a run alone in
-    its group, such as every ``evaluate`` point, holds none.  ``pool.workers`` counts processes: a job of several
-    blocks also makes its channel draws in one helper thread while it decodes,
-    so even a share run in-process can keep two cores busy.  Each run's LLRs
+    are sized by one block, not by the chunk: a job holds one LLR array and
+    one channel draw of one block for all its runs.  ``pool.workers`` counts
+    processes: a job of several blocks also makes its channel draws in one
+    helper thread while it decodes, so even a share run in-process can keep
+    two cores busy.  Each run's LLRs
     come from the same draws and ops whatever job holds it and however its
     chunk is blocked, so the reports do not depend on the pool.
     """

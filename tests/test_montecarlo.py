@@ -407,28 +407,34 @@ def _random_info(spec, rng):
 
 
 _SHARED_CASES = [
-    # (N, K, n_p, model, decoders of the task's runs): the runs differ in
-    # pattern and information set at one n_p, so they share every draw
-    (64, 32, 24, ChannelModel.awgn(1.0), [_SC] * 3),
-    (64, 32, 24, ChannelModel.awgn(math.inf), [_SC] * 3),
-    (64, 32, 24, ChannelModel.bec(0.3), [_SC] * 3),
-    (256, 128, 40, ChannelModel.awgn(1.5), [_SC] * 2),
-    # chunks of several channel-draw blocks (32 frames at N=1024)
-    (1024, 512, 224, ChannelModel.awgn(2.0), [_SC] * 2),
+    # (N, K, n_p, model, decoders of the task's runs, frames per block or None
+    # for BLOCK_ELEMS's): the runs differ in pattern and information set at
+    # one n_p, so they share every draw
+    (64, 32, 24, ChannelModel.awgn(1.0), [_SC] * 3, None),
+    (64, 32, 24, ChannelModel.awgn(math.inf), [_SC] * 3, None),
+    (64, 32, 24, ChannelModel.bec(0.3), [_SC] * 3, None),
+    (256, 128, 40, ChannelModel.awgn(1.5), [_SC] * 2, None),
+    # chunks of several channel-draw slabs (32 frames at N=1024)
+    (1024, 512, 224, ChannelModel.awgn(2.0), [_SC] * 2, None),
     # one path with a CRC (the chunk walks SC) next to CRC-aided SCL
     (32, 24, 8, ChannelModel.awgn(2.0),
      [DecoderConfig(list_size=1, crc_len=16), DecoderConfig(list_size=4, crc_len=16),
-      DecoderConfig(list_size=1, crc_len=16)]),
+      DecoderConfig(list_size=1, crc_len=16)], None),
+    # 128-frame chunks in blocks of 40, 40, 40 and 8 frames, drawn ahead by
+    # the helper thread into the chunk's one draw buffer
+    (64, 32, 24, ChannelModel.awgn(1.5), [_SC] * 3, 40),
 ]
 
 
 @pytest.mark.parametrize("case", _SHARED_CASES, ids=lambda c: f"N{c[0]}-{c[3].kind}"
                          f"{c[3].ebn0_db if c[3].kind != 'bec' else c[3].epsilon}-"
                          f"{len(c[4])}runs")
-def test_shared_draw_chunk_matches_independent_oracle(case):
+def test_shared_draw_chunk_matches_independent_oracle(monkeypatch, threads_started, case):
     # One task carries several runs under one draw key; each run's errors
     # are the oracle's for that run alone, so no run sees another's LLRs.
-    n, k, n_p, model, decoders = case
+    n, k, n_p, model, decoders, block_frames = case
+    if block_frames is not None:
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", n * block_frames)
     spec = CodeSpec(n, k)
     rng = np.random.default_rng(n + n_p + len(decoders))
     patterns = [qup_pattern(spec, n_p)] + [_random_pattern(spec, n_p, rng)
@@ -450,6 +456,8 @@ def test_shared_draw_chunk_matches_independent_oracle(case):
             blocks += run_blocks
     if model.kind == "bec" or not math.isinf(model.ebn0_db):
         assert blocks > 0
+    # in blocks of 40 frames every chunk, the 44-frame one too, draws ahead
+    assert len(threads_started) == (0 if block_frames is None else 3)
 
 
 def _fields(report):
@@ -655,6 +663,31 @@ def test_decoder_error_in_a_pipelined_chunk_reaches_the_caller(monkeypatch, thre
     assert len(threads_started) == 1 and calls == [(256, 100)] * 2
 
 
+def test_next_block_is_drawn_after_every_run_has_read_the_draw(monkeypatch):
+    # A chunk has one draw buffer: block b + 1's draw may start only once the
+    # last run of block b has formed its LLRs from block b's draw, and it is
+    # submitted then, so it runs beside that run's decode.
+    events, lock = [], threading.Lock()
+    real_llrs, real_channel_draw = montecarlo._llrs, montecarlo._channel_draw
+
+    def recording_llrs(*args):
+        llr = real_llrs(*args)
+        with lock:
+            events.append("llrs")
+        return llr
+
+    def recording_channel_draw(*args):
+        with lock:
+            events.append("draw")
+        return real_channel_draw(*args)
+
+    monkeypatch.setattr(montecarlo, "_llrs", recording_llrs)
+    monkeypatch.setattr(montecarlo, "_channel_draw", recording_channel_draw)
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 256 * 100)
+    _simulate_chunk(_group_job(256, [_SC] * 3, 350))  # blocks of 100, 100, 100, 50
+    assert events == ["draw"] + (["llrs"] * 3 + ["draw"]) * 3 + ["llrs"] * 3
+
+
 @pytest.mark.parametrize("n, model, trials, block_frames", [
     (256, ChannelModel.awgn(2.0), 600, None),  # one block
     (256, ChannelModel.awgn(math.inf), 600, 100),  # six blocks, nothing drawn
@@ -744,6 +777,23 @@ def test_scl_chunk_holds_one_block_of_every_path(monkeypatch):
         tracemalloc.stop()
     assert blocks > 0
     assert peak <= 3 * 8 * montecarlo.BLOCK_ELEMS
+
+
+def test_group_of_several_blocks_holds_two_block_arrays_and_the_tree():
+    # Two N=1024 SC runs over 3072 frames, three blocks of BLOCK_ELEMS: the
+    # chunk holds its one LLR array and one draw buffer, and traces about 3.6
+    # times 8 B x BLOCK_ELEMS at its peak with the tree's arrays and the
+    # payload; with a ring of two draw buffers and a new LLR array for every
+    # run but the last, it traced about 4.5 times.
+    job = _group_job(1024, [_SC] * 2, 3072)
+    assert len(core.slabs((3072, 1024), montecarlo.BLOCK_ELEMS)) == 3
+    tracemalloc.start()
+    try:
+        _simulate_chunk(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * montecarlo.BLOCK_ELEMS
 
 
 def _load_tracer(monkeypatch):
@@ -839,17 +889,20 @@ def test_channel_llrs_keep_natural_order_and_zero_punctured(model):
         assert np.array_equal(x, before)
 
 
-@pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "copy"])
+# in-place: into a view of a larger, dirty buffer, as a chunk forms each run's
+# LLRs in its one LLR array; copy: into a new array, as ``channel_llrs`` does.
+@pytest.mark.parametrize("into_buffer", [True, False], ids=["in-place", "copy"])
 @pytest.mark.parametrize("model", [ChannelModel.awgn(2.0), ChannelModel.awgn(2996.19788),
                                    ChannelModel.awgn(-70.0), ChannelModel.awgn(math.inf),
                                    ChannelModel.bec(0.4)],
                          ids=["awgn", "awgn-top-scale", "awgn-low", "noiseless", "bec"])
 @pytest.mark.parametrize("n, frames", [(64, 1300), (1024, 100)])
-def test_blocked_draw_and_llrs_match_the_formula(n, frames, model, in_place):
+def test_blocked_draw_and_llrs_match_the_formula(n, frames, model, into_buffer):
     # The draw spans several blocks of SLAB_ELEMS // n frames, not a multiple
     # of one; the LLRs equal the natural-order formula over one (B, N) draw.
     # The AWGN points span the noise range: 2 / sigma^2 just under
-    # MAX_LLR_SCALE, a moderate sigma^2 and one of 1e6 or more.
+    # MAX_LLR_SCALE, a moderate sigma^2 and one of 1e6 or more.  The draw is
+    # only read, and nothing outside the LLRs is written.
     spec, rate = CodeSpec(n, n // 2), 0.6
     if model.ebn0_db == 2996.19788:
         assert MAX_LLR_SCALE * 0.9999 < 2.0 / noise_variance(model.ebn0_db, rate) <= MAX_LLR_SCALE
@@ -861,8 +914,9 @@ def test_blocked_draw_and_llrs_match_the_formula(n, frames, model, in_place):
     draw = montecarlo._channel_draw(model, rate, np.random.Generator(np.random.Philox(key=[7, 0])),
                                     (frames, n), perm)
     before = None if draw is None else draw.copy()
-    llr = montecarlo._llrs(bits.T[perm], model, pattern, rate, draw, perm,
-                           in_place=in_place)
+    buffer = np.full(n * (frames + 3), np.nan)
+    out = buffer[:n * frames].reshape(n, frames) if into_buffer else None
+    llr = montecarlo._llrs(bits.T[perm], model, pattern, rate, draw, perm, out)
 
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     signs = 1.0 - 2.0 * bits
@@ -877,7 +931,6 @@ def test_blocked_draw_and_llrs_match_the_formula(n, frames, model, in_place):
     want[:, pattern.zero_based()] = 0.0
     assert llr.shape == (n, frames)
     assert np.array_equal(llr.view(np.int64), want.T[perm].view(np.int64))
-    if model.kind == "awgn_bpsk" and in_place and draw is not None:
-        assert llr is draw
-    elif draw is not None:
-        assert llr is not draw and np.array_equal(draw, before)
+    assert llr is not draw and (draw is None or draw.tobytes() == before.tobytes())
+    if into_buffer:
+        assert llr is out and np.isnan(buffer[n * frames:]).all()
