@@ -10,6 +10,12 @@ The list decoder copies path state lazily (see ``SCLDecoder``): arrays that
 every path shares are held once, and a subtree that prunes the list returns a
 map from its surviving paths to the paths that entered it.  Both decoders
 read their decided bits off the root's partial sums.
+
+The tree walk writes each node's right-child LLRs over the right half of the
+node's own LLR array whenever they have its shape (always in SC, and in SCL
+once the node's LLRs carry every path), as Tal & Vardy overwrite each
+stage's LLRs: a node's LLRs are dead once its right child's are formed.  So
+the walk consumes its input array; ``decode`` walks a copy of the caller's.
 """
 
 from __future__ import annotations
@@ -79,22 +85,26 @@ def _f_slab(o, a, b, t, s):
     np.add(o, t, out=o)
 
 
-def g_node(l_a, l_b, v_hat):
+def g_node(l_a, l_b, v_hat, out=None):
     """Variable-node combination (1 - 2 v_hat) l_a + l_b.
 
-    Computed in place in the output slab by slab (``core.slabs``), or whole
-    for an output of one slab, each element through the ufuncs of the
-    formula in its order, so every value is bit-identical to the formula
-    evaluated with whole-array temporaries.
+    Computed slab by slab (``core.slabs``), or whole for an output of one
+    slab: (1 - 2 v_hat) l_a goes into a scratch array of one slab, then
+    l_b is added into the output's slab, each element through the ufuncs
+    of the formula in its order, so every value is bit-identical to the
+    formula evaluated with whole-array temporaries.  The output is written
+    into ``out``, an array of the broadcast shape, if one is given, and
+    ``out`` is returned; it may be ``l_b`` itself, as each slab of ``l_b``
+    is read only by the add that overwrites it.
     """
-    return _by_slabs(_g_slab, 0, l_a, l_b, np.asarray(v_hat))
+    return _by_slabs(_g_slab, 1, l_a, l_b, np.asarray(v_hat), out=out)
 
 
-def _by_slabs(kernel, scratch, l_a, l_b, *rest):
+def _by_slabs(kernel, scratch, l_a, l_b, *rest, out=None):
     """The output of the elementwise ``kernel(o, a, b, *rest, *spare)`` over
     the float64 LLRs ``l_a`` and ``l_b`` and the arrays ``rest``, with
-    ``spare`` its ``scratch`` arrays of ``o``'s shape: a float for 0-d
-    operands, else the broadcast array.
+    ``spare`` its ``scratch`` arrays of ``o``'s shape: ``out`` if given,
+    else a float for 0-d operands, else a new broadcast array.
 
     An output of at most one slab (``core.SLAB_ELEMS``) is computed by one
     kernel call on the whole operands.  A larger one is computed slab by slab
@@ -102,7 +112,9 @@ def _by_slabs(kernel, scratch, l_a, l_b, *rest):
     one slab, each operand cut to the slab's rows by ``_slab``.
     """
     operands = (np.asarray(l_a, dtype=np.float64), np.asarray(l_b, dtype=np.float64), *rest)
-    out = np.empty(np.broadcast(*operands).shape)
+    given = out is not None
+    if not given:
+        out = np.empty(np.broadcast(*operands).shape)
     rows = np.atleast_1d(out)  # a 0-d output is one slab of one row
     if rows.size <= core.SLAB_ELEMS:
         kernel(rows, *operands, *[np.empty(rows.shape) for _ in range(scratch)])
@@ -112,15 +124,16 @@ def _by_slabs(kernel, scratch, l_a, l_b, *rest):
         for cut in cuts:
             o = rows[cut]
             kernel(o, *[_slab(x, cut, rows) for x in operands], *[t[:len(o)] for t in spare])
-    return float(out) if out.ndim == 0 else out
+    return out if given or out.ndim else float(out)
 
 
-def _g_slab(o, a, b, v):
-    """``g_node`` of one slab into ``o``."""
-    np.multiply(v, 2.0, out=o, dtype=np.float64)
-    np.subtract(1.0, o, out=o)
-    np.multiply(o, a, out=o)
-    np.add(o, b, out=o)
+def _g_slab(o, a, b, v, t):
+    """``g_node`` of one slab into ``o``, with ``t`` a scratch array of
+    ``o``'s shape; ``o`` may be ``b``."""
+    np.multiply(v, 2.0, out=t, dtype=np.float64)
+    np.subtract(1.0, t, out=t)
+    np.multiply(t, a, out=t)
+    np.add(t, b, out=o)
 
 
 def _slab(x: np.ndarray, cut: slice, out: np.ndarray) -> np.ndarray:
@@ -236,6 +249,7 @@ class SCDecoder:
     def _decode_tree(self, llr: np.ndarray):
         """Decode the tree's (N, B) channel LLRs; returns the (K, B)
         information bits and crc_ok, which is None (SC checks no CRC).
+        The walk overwrites ``llr``.
 
         ``SCLDecoder`` passes (N, B, 1) LLRs and gets (K, B, L) bits, one
         column per path of its final list.
@@ -263,28 +277,34 @@ class SCDecoder:
             if not walk.size:
                 return hard, None
             llr = llr[:, walk]
-        # No names are bound to the halves of ``llr``: once the left child
-        # has pruned, the gathered ``llr`` must replace the entering one in
-        # memory, not sit beside it for the rest of the subtree.
+        # No names are bound to the halves of ``llr`` before the left child:
+        # once it has pruned, the gathered ``llr`` must replace the entering
+        # one in memory, not sit beside it for the rest of the subtree.  The
+        # right child's LLRs are written over the right half whenever they
+        # have its shape, as ``llr`` is dead once they are formed.
         half = width // 2
         # A sum of two ±0 rows is ±0; f of a ±0 row and any row is +0.
         both, either = zero[:half] & zero[half:], zero[:half] | zero[half:]
         if self._rate0(base, half):
             # Left partial sums are 0, so g(a, b, 0) = 1.0 * a + b = a + b.
-            c_right, paths = self._recurse(llr[:half] + llr[half:], base + half,
-                                           both)
+            c_right, paths = self._recurse(np.add(llr[:half], llr[half:], out=llr[half:]),
+                                           base + half, both)
             return np.concatenate([c_right, c_right]), paths
         c_left, left = self._recurse(_f_rows(llr, either), base, either)
         if self._rate0(base + half, half):
             return np.concatenate([c_left, np.zeros_like(c_left)]), left
         llr = _follow(llr, left)
+        a, b = llr[:half], llr[half:]
         if self._frozen(base, half):
             # SCL walked the rate-0 left child: its partial sums are 0 and
             # ``left`` is None, so again g = a + b.
-            c_right, right = self._recurse(llr[:half] + llr[half:], base + half, both)
+            c_right, right = self._recurse(np.add(a, b, out=b), base + half, both)
         else:
-            c_right, right = self._recurse(g_node(llr[:half], llr[half:], c_left),
-                                           base + half, both)
+            # In SCL, (w, B, 1) LLRs that every path shares meet (w, B, L)
+            # partial sums in a new array.
+            c_right, right = self._recurse(
+                g_node(a, b, c_left, out=b if c_left.shape == b.shape else None),
+                base + half, both)
         paths = left
         if right is not None:
             c_left = _follow(c_left, right)
@@ -365,7 +385,8 @@ class SCLDecoder(SCDecoder):
 
     def _decode_tree(self, llr: np.ndarray):
         """Decode the tree's (N, B) channel LLRs; returns the chosen path's
-        (K, B) information bits and crc_ok (B,) or None."""
+        (K, B) information bits and crc_ok (B,) or None.  The walk
+        overwrites ``llr``."""
         batch, lsz = llr.shape[1], self.list_size
         self._pm = np.full((batch, lsz), np.inf)
         self._pm[:, 0] = 0.0

@@ -15,8 +15,11 @@ list size would cut it below ``MIN_BLOCK_FRAMES`` frames: it encodes the
 block's words there without a permutation, gathers the block's channel
 draw into it, forms the LLRs from the draw, which it only reads, on
 cache-sized row slabs (``core.slabs``), and decodes to (K, frames)
-information bits there, so nothing passes through natural order.  SC and
-SCL decide each frame on its own, so the errors do not depend on the block
+information bits there, so nothing passes through natural order.  The
+chunk holds its payload and CRC packed, eight bits a byte, and unpacks
+each block's words as it streams them; the decoder consumes the block's
+LLRs, writing each right child's LLRs over its parent's.  SC and SCL
+decide each frame on its own, so the errors do not depend on the block
 size, and a chunk holds its LLRs and tree arrays for one block, not for
 all B frames.  A chunk of several blocks whose channel draws something
 makes its channel draws one block ahead in one helper thread, in the same
@@ -219,18 +222,20 @@ def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
     chunk job ``(runs, chunk index, chunk trials)``, whose runs share one draw
     key (``SimulationRun.draw_key``).
 
-    The chunk draws its payload (and CRC) once, as (K, B) words sent, then
-    streams its frames in blocks of BLOCK_ELEMS // (N x L) frames, L the
-    largest list size of its runs (a group can mix list sizes, as its draw
-    key holds none), so that every path's tree arrays fit the budget; a list
-    size cuts a block to no fewer than ``MIN_BLOCK_FRAMES`` frames, and SC
-    keeps BLOCK_ELEMS // N.  Each block makes its ``_channel_draw``,
-    continuing the chunk's one stream, and each run then encodes the block's
-    words, forms its LLRs, decodes and counts its errors in the tree layout
-    (see the module docstring).  Frames decode independently, so the counts
-    do not depend on the block size.  Every run forms its LLRs in one float
-    array of one block that the chunk allocates here, from the block's
-    channel draw, which it only reads.
+    The chunk draws its payload (and CRC) once and holds it packed with
+    ``np.packbits``, B x ceil(K / 8) bytes, then streams its frames in
+    blocks of BLOCK_ELEMS // (N x L) frames, L the largest list size of its
+    runs (a group can mix list sizes, as its draw key holds none), so that
+    every path's tree arrays fit the budget; a list size cuts a block to no
+    fewer than ``MIN_BLOCK_FRAMES`` frames, and SC keeps BLOCK_ELEMS // N.
+    Each block unpacks its (K, frames) words sent and makes its
+    ``_channel_draw``, continuing the chunk's one stream, and each run then
+    encodes the block's words, forms its LLRs, decodes and counts its errors
+    in the tree layout (see the module docstring).  Frames decode
+    independently, so the counts do not depend on the block size.  Every
+    run forms its LLRs in one float array of one block that the chunk
+    allocates here, from the block's channel draw, which it only reads; the
+    decoder overwrites them, and the next run forms its own.
 
     A chunk of several blocks whose channel draws something makes its
     channel draws in one helper thread, one block ahead of the decoding,
@@ -277,10 +282,13 @@ def _simulate_chunk(job) -> list[tuple[np.ndarray, int]]:
         pending = draw(0)
         if first.decoder.crc_len:
             word = np.concatenate([word, crc16_remainder_bits(word)], axis=1)
-        errors = [np.zeros(word.shape[1], dtype=np.int64) for _ in runs]
+        k = word.shape[1]
+        word = np.packbits(word, axis=1)  # (B, ceil(K / 8)) bytes
+        errors = [np.zeros(k, dtype=np.int64) for _ in runs]
         blocks_wrong = [0] * len(runs)
         for b, frames in enumerate(blocks):
-            sent = np.ascontiguousarray(word[frames].T)
+            sent = np.ascontiguousarray(
+                np.unpackbits(word[frames], axis=1, count=k).T).view(np.int8)
             llr = llr_buffer[:n * sent.shape[1]].reshape(n, -1)
             for i, (run, dec) in enumerate(zip(runs, decs)):
                 x = np.zeros((n, sent.shape[1]), dtype=np.int8)

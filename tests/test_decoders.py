@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarkit import (ChannelModel, CodeSpec, PuncturingPattern, SCDecoder,
-                      SCLDecoder, bit_reversal_permutation, channel_llrs,
+                      SCLDecoder, bit_reversal_permutation, channel_llrs, core,
                       crc16_append, crc16_ccitt, crc16_check, decoders, encode,
                       f_node, g_node, ga_llr_means, load_pattern, qup_pattern,
                       reference_pattern_path, select_information_set)
@@ -552,6 +552,31 @@ def test_scl_decodes_batches_of_zero_and_one_frame(batch, list_size):
     u_hat = SCDecoder(spec, info).decode(llr)
     assert u_hat.dtype == np.int8 and u_hat.shape == (batch, 32)
     assert np.array_equal(u_hat, _reference_scl(llr, info, 1, 0)[0])
+
+
+@pytest.mark.parametrize("batch", [4, 300], ids=["one-slab", "multi-slab"])
+@pytest.mark.parametrize("make", [lambda spec, info: SCDecoder(spec, info),
+                                  lambda spec, info: SCLDecoder(spec, info, 4, 16)],
+                         ids=["sc", "scl"])
+def test_decode_leaves_the_callers_llrs_unchanged(make, batch):
+    # The tree walk writes each right child's LLRs over its parent's
+    # (``_decode_tree`` overwrites its input), but ``decode`` walks a copy:
+    # the caller's LLRs, punctured zeros and -0.0 included, keep their bits,
+    # and decoding them again gives the same bits.
+    spec = CodeSpec(256, 128)
+    pattern = qup_pattern(spec, 40)
+    info = select_information_set(ga_llr_means(spec, 2.0, pattern, 128 / 216), 128)
+    _, llr = _noisy_frames(spec, info, 2.0, batch, batch, pattern)
+    llr[:, 200] = -0.0
+    assert (llr.size <= core.SLAB_ELEMS) == (batch == 4)
+    before = llr.copy()
+    dec = make(spec, info)
+    first = dec.decode(llr)
+    assert np.array_equal(llr.view(np.int64), before.view(np.int64))
+    again = dec.decode(llr)
+    if isinstance(dec, SCLDecoder):
+        first, again = first[0], again[0]
+    assert np.array_equal(first, again)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -19,7 +19,7 @@ from polarkit import (BerReport, ChannelModel, CodeSpec, DecoderConfig, DeConfig
 from polarkit.construction import MAX_LLR_SCALE
 from polarkit.decoders import crc16_remainder_bits
 from polarkit.montecarlo import (CHUNK_TRIALS, SimulationRun, WorkerPool, _simulate_chunk,
-                                 run_batch)
+                                 matched_information_set, run_batch)
 
 
 def test_channel_model_validation():
@@ -794,6 +794,29 @@ def test_group_of_several_blocks_holds_two_block_arrays_and_the_tree():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * montecarlo.BLOCK_ELEMS
+
+
+def test_sc_chunk_decodes_in_place_and_holds_its_payload_packed():
+    # One N=1024 SC run over 3072 frames, three blocks of BLOCK_ELEMS with the
+    # draw-ahead helper: the tree writes each right child's LLRs over its
+    # parent's right half and the chunk holds its payload as packed bits, so
+    # it traces about 3.16 times 8 B x BLOCK_ELEMS at its peak.  With a new
+    # array for every right child and a byte per payload bit, it traced
+    # about 3.51 times.
+    spec = CodeSpec(1024, 512)
+    pattern = qup_pattern(spec, 224)
+    model = ChannelModel.awgn(2.0)
+    run = SimulationRun.plan(spec, pattern, matched_information_set(spec, pattern, model),
+                             model, trials=3072, seed=4)
+    assert len(core.slabs((3072, 1024), montecarlo.BLOCK_ELEMS)) == 3
+    tracemalloc.start()
+    try:
+        (_, blocks), = _simulate_chunk(run.jobs()[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks > 0
+    assert peak <= 3.3 * 8 * montecarlo.BLOCK_ELEMS
 
 
 def _load_tracer(monkeypatch):

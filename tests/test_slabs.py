@@ -89,6 +89,33 @@ def test_kernels_match_whole_array_formulas(shapes):
         assert type(got_f) is float and type(got_g) is float
 
 
+# (shape of l_a, shape of l_b, shape of v_hat) whose broadcast is l_b's shape
+_INTO_B_SHAPES = [
+    ((37, 300), (37, 300), (37, 300)),          # one slab
+    ((1000, 100), (1000, 100), (1000, 100)),    # slabs of 327 rows, the last 19
+    ((40, 1000, 1), (40, 1000, 8), (40, 1000, 8)),  # SCL: shared LLRs, L sums
+    ((40, 1000, 8), (40, 1000, 8), (40, 1000, 1)),
+    ((6, 40, 1), (6, 40, 8), (6, 40, 8)),       # the same in one slab
+]
+
+
+@pytest.mark.parametrize("slab", [7, 32768])
+@pytest.mark.parametrize("shapes", _INTO_B_SHAPES, ids=_shape_id)
+def test_g_node_into_l_b_matches_a_new_output(monkeypatch, shapes, slab):
+    # The decoders write a right child's LLRs over l_b: each slab of l_b is
+    # read only by the add that overwrites it.
+    monkeypatch.setattr(core, "SLAB_ELEMS", slab)
+    rng = np.random.default_rng(len(_shape_id(shapes)))
+    sa, sb, sv = shapes
+    a, b = _llrs(sa, rng), _llrs(sb, rng)
+    v = rng.integers(0, 2, size=sv, dtype=np.int8)
+    want = g_node(a, b.copy(), v)
+    assert np.array_equal(_bits(want), _bits(_ref_g(a, b, v)))
+    got = g_node(a, b, v, out=b)
+    assert got is b
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 # _SHAPES scaled down for slabs of 1 and 7 elements
 _SMALL_SHAPES = [
     ((37, 3), (37, 3), (37, 3)),
